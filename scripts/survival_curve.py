@@ -23,14 +23,12 @@ def main() -> int:
     ap.add_argument("--reps", type=int, default=200_000)
     ap.add_argument("--horizons", type=float, nargs="+",
                     default=[1, 2, 5, 10, 20, 50, 100])
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
     model = binary_exponential_model()
     rows = ["t,p_hat,stderr,t_p_hat,exact_bd,limit"]
-    for pt in estimate_survival_curve(model, args.horizons, args.reps, stream(args.seed),
-                                      threads=args.threads):
+    for pt in estimate_survival_curve(model, args.horizons, args.reps, stream(args.seed)):
         exact = birth_death_survival(1.0, pt.t)
         rows.append(f"{pt.t!r},{pt.p_hat!r},{pt.stderr!r},{pt.t_p_hat!r},{exact!r},{pt.target_limit!r}")
         print(f"t={pt.t:6.1f}  P={pt.p_hat:.5f} (exact {exact:.5f})  tP={pt.t_p_hat:.4f}")

@@ -16,7 +16,6 @@ from .model import (  # noqa: F401
     UniformLifetime,
     ValidatedModel,
     binary_exponential_model,
-    derived_constants,
     limit_age_cdf,
     parse_model_config,
     validate_model,

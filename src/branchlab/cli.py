@@ -2,9 +2,9 @@
 loglaplace.
 
 All randomness descends from the mandatory --seed; rerunning a command with
-identical arguments produces byte-identical machine output regardless of
---threads.  Exit codes: 0 all selected checks passed, 1 a statistical check
-failed, 2 usage or configuration error.
+identical arguments produces byte-identical machine output.  Exit codes:
+0 all selected checks passed, 1 a statistical check failed, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.checks == ["all"] or not args.checks else args.checks
     try:
-        results = run_criteria(args.seed, names, threads=args.threads, reps=args.reps)
+        results = run_criteria(args.seed, names, reps=args.reps)
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("checks", nargs="*", default=["all"],
                      help=f"check names or 'all'; available: {', '.join(CRITERIA)}")
     ver.add_argument("--seed", type=int, required=True)
-    ver.add_argument("--threads", type=int, default=1)
     ver.add_argument("--reps", type=int, default=None,
                      help="override each check's primary sample size")
     ver.add_argument("--report", help="write JSONL report rows to this path")
@@ -254,3 +253,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,8 +3,8 @@
 Simulation proceeds generation-wave by generation-wave over a batch of
 replicates at once.  Each particle's lifetime, offspring count and per-life
 displacement come from slots of a key hashed from (run key, particle id), so
-a replicate's realization is invariant to batching, wave layout and thread
-count; `run_once` on a single replicate reproduces byte-for-byte what the
+a replicate's realization is invariant to batching and wave layout;
+`run_once` on a single replicate reproduces byte-for-byte what the
 batched drivers produce for the same key.  Particle ids are assigned in
 generation order (parents always precede children).
 """
@@ -12,7 +12,6 @@ generation order (parents always precede children).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -24,6 +23,7 @@ from .rng import RandomStream, _derive_fast, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
+_ATTEMPT_BLOCK = 16  # conditioned attempts per replicate and round
 
 _H_LIFETIME = slot_hash(0)
 _H_OFFSPRING = slot_hash(1)
@@ -31,7 +31,8 @@ _H_DISPLACEMENT = slot_hash(2)
 
 
 class CapExceeded(RuntimeError):
-    """Live-record count passed the particle cap; the run is aborted loudly."""
+    """A replicate's cumulative row count (every particle simulated, alive or
+    dead) passed the particle cap; the run is aborted loudly."""
 
     def __init__(self, replicates):
         self.replicates = [int(r) for r in np.atleast_1d(replicates)]
@@ -334,44 +335,75 @@ def _replicate_keys(rng: RandomStream, start: int, stop: int) -> np.ndarray:
     return derive_key(np.uint64(rng.key), np.arange(start, stop, dtype=np.uint64))
 
 
+def _attempt_keys(rep_keys: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Keys for attempts base..base+width-1 of each replicate, rep-major."""
+    attempts = np.tile(np.arange(base, base + width, dtype=np.uint64), rep_keys.size)
+    return _derive_fast(np.repeat(rep_keys, width), attempts)
+
+
+def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, mode):
+    """Rejection loop over replicates start..stop-1 of `rng`, in `mode`.
+
+    Attempt a of replicate r is keyed rng.child(r).child(a).  Each round
+    simulates `_ATTEMPT_BLOCK` attempts of every pending replicate and yields
+    (replicates settled, their winning batch row, their attempt counts, the
+    batch output).  The first surviving attempt wins, which reproduces
+    sequential rejection exactly because attempts are keyed independently.
+    An unconditioned replicate settles on attempt 0.
+    """
+    rep_keys = _replicate_keys(rng, start, stop)
+    pending = np.arange(start, stop, dtype=np.int64)
+    base = 0
+    while pending.size:
+        if base >= max_attempts:
+            raise MaxAttemptsExceeded(
+                f"replicates {pending[:5]}... exceeded {max_attempts} attempts"
+            )
+        width = min(_ATTEMPT_BLOCK, max_attempts - base) if conditioned else 1
+        keys = _attempt_keys(rep_keys[pending - start], base, width)
+        rep, birth, pos = _single_root_arrays(pending.size * width, model)
+        out = _batch_simulate(
+            model, horizon, keys, rep, birth, pos, particle_cap, mode,
+            rep_labels=np.repeat(pending, width),
+        )
+        counts = (out if mode == "counts" else out[2]).reshape(pending.size, width)
+        hit = counts > 0 if conditioned else np.ones_like(counts, dtype=bool)
+        any_hit = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)[any_hit]
+        yield pending[any_hit], np.flatnonzero(any_hit) * width + first, base + first + 1, out
+        pending = pending[~any_hit]
+        base += width
+
+
+def _counts(model, horizon, rng, reps, particle_cap, max_attempts, chunk_size, conditioned):
+    n_out = np.empty(reps, dtype=np.int64)
+    att_out = np.empty(reps, dtype=np.int64) if conditioned else None
+    for start in range(0, reps, chunk_size):
+        stop = min(start + chunk_size, reps)
+        for done, rows, attempts, counts in _settle(
+            model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "counts"
+        ):
+            n_out[done] = counts[rows]
+            if conditioned:
+                att_out[done] = attempts
+    return n_out, att_out
+
+
 def survival_counts(
     model: ValidatedModel,
     horizon: float,
     rng: RandomStream,
     reps: int,
     particle_cap: int = DEFAULT_PARTICLE_CAP,
-    threads: int = 1,
     chunk_size: int = 8192,
 ) -> np.ndarray:
     """N_t for `reps` unconditioned replicates (counts only, no genealogy).
 
     Replicate r's randomness is rng.child(r).child(0), matching the first
-    attempt of the conditioned driver.  Chunk boundaries are fixed by
-    chunk_size alone, so output is identical for any thread count.
+    attempt of the conditioned driver, so output does not depend on
+    chunk_size.
     """
-    spans = [(s, min(s + chunk_size, reps)) for s in range(0, reps, chunk_size)]
-
-    def work(span):
-        start, stop = span
-        keys = derive_key(_replicate_keys(rng, start, stop), np.uint64(0))
-        rep, birth, pos = _single_root_arrays(stop - start, model)
-        return _batch_simulate(
-            model, horizon, keys, rep, birth, pos, particle_cap, "counts",
-            rep_labels=np.arange(start, stop),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
-    return np.concatenate(parts) if parts else np.empty(0, np.int64)
-
-
-def _attempt_keys(rep_keys: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Keys for attempts base..base+width-1 of each replicate, rep-major."""
-    attempts = np.tile(np.arange(base, base + width, dtype=np.uint64), rep_keys.size)
-    return _derive_fast(np.repeat(rep_keys, width), attempts)
+    return _counts(model, horizon, rng, reps, particle_cap, 1, chunk_size, False)[0]
 
 
 def conditioned_counts(
@@ -382,42 +414,9 @@ def conditioned_counts(
     particle_cap: int = DEFAULT_PARTICLE_CAP,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     chunk_size: int = 4096,
-    attempt_block: int = 16,
 ):
-    """(N_t, attempts) for `reps` conditioned replicates, counts only.
-
-    Attempts are simulated `attempt_block` at a time and the first success is
-    kept, which reproduces sequential rejection exactly (attempts are
-    independently keyed) while cutting the number of vectorized rounds.
-    """
-    n_out = np.empty(reps, dtype=np.int64)
-    att_out = np.empty(reps, dtype=np.int64)
-    for start in range(0, reps, chunk_size):
-        stop = min(start + chunk_size, reps)
-        pending = np.arange(start, stop, dtype=np.int64)
-        rep_keys = _replicate_keys(rng, start, stop)
-        base = 0
-        while pending.size:
-            if base >= max_attempts:
-                raise MaxAttemptsExceeded(
-                    f"replicates {pending[:5]}... exceeded {max_attempts} attempts"
-                )
-            width = min(attempt_block, max_attempts - base)
-            keys = _attempt_keys(rep_keys[pending - start], base, width)
-            rep, birth, pos = _single_root_arrays(pending.size * width, model)
-            counts = _batch_simulate(
-                model, horizon, keys, rep, birth, pos, particle_cap, "counts",
-                rep_labels=np.repeat(pending, width),
-            ).reshape(pending.size, width)
-            hit = counts > 0
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            done = pending[any_hit]
-            n_out[done] = counts[any_hit, first[any_hit]]
-            att_out[done] = base + first[any_hit] + 1
-            pending = pending[~any_hit]
-            base += width
-    return n_out, att_out
+    """(N_t, attempts) for `reps` conditioned replicates, counts only."""
+    return _counts(model, horizon, rng, reps, particle_cap, max_attempts, chunk_size, True)
 
 
 def iter_runs(
@@ -429,53 +428,22 @@ def iter_runs(
     particle_cap: int = DEFAULT_PARTICLE_CAP,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     block_size: int = 512,
-    attempt_block: int = 16,
 ) -> Iterator[RunRecord]:
     """Yield full RunRecords for replicates 0..reps-1 in replicate order.
 
     Simulates blocks of replicates at once; memory stays bounded by one
     block's arenas.  An unconditioned run is the attempt-0 realization of the
-    conditioned driver, so the two agree run for run.  Conditioned rejection
-    simulates attempts in blocks and keeps each replicate's first success,
-    matching `run_conditioned` exactly.
+    conditioned driver, so the two agree run for run, and a conditioned run
+    matches `run_conditioned` exactly.
     """
     for start in range(0, reps, block_size):
         stop = min(start + block_size, reps)
-        rep_keys = _replicate_keys(rng, start, stop)
         results: dict[int, RunRecord] = {}
-        pending = np.arange(start, stop, dtype=np.int64)
-        base = 0
-        while pending.size:
-            if conditioned and base >= max_attempts:
-                raise MaxAttemptsExceeded(
-                    f"replicates {pending[:5]}... exceeded {max_attempts} attempts"
-                )
-            width = 1 if not conditioned else min(attempt_block, max_attempts - base)
-            keys = _attempt_keys(rep_keys[pending - start], base, width)
-            rep, birth, pos = _single_root_arrays(pending.size * width, model)
-            cols, bounds, counts = _batch_simulate(
-                model, horizon, keys, rep, birth, pos, particle_cap, "arena",
-                rep_labels=np.repeat(pending, width),
-            )
-            counts = counts.reshape(pending.size, width)
-            hit = counts > 0 if conditioned else np.ones_like(counts, dtype=bool)
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            for i in np.flatnonzero(any_hit):
-                r = int(pending[i])
-                results[r] = _extract_run(
-                    model,
-                    horizon,
-                    cols,
-                    bounds,
-                    int(i) * width + int(first[i]),
-                    base + int(first[i]) + 1,
-                    rng.path + (r,),
-                )
-            pending = pending[~any_hit]
-            base += width
-            if not conditioned:
-                break
+        for done, rows, attempts, (cols, bounds, _) in _settle(
+            model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "arena"
+        ):
+            for r, row, a in zip(done.tolist(), rows.tolist(), attempts.tolist()):
+                results[r] = _extract_run(model, horizon, cols, bounds, row, a, rng.path + (r,))
         for r in range(start, stop):
             yield results[r]
 

@@ -4,9 +4,10 @@ The unknown u_t(x) satisfies u_t = H_t u_0 - lam * int_0^t H_{t-s}(u_s^2) ds,
 where H_t is the heat semigroup with variance lam*psi per unit time and u_0
 is the test function averaged over the exponential age marginal.  Time
 marching uses trapezoidal Volterra quadrature with the implicit endpoint
-resolved by fixed-point sweeps; the history term is folded forward through
-the semigroup identity H_{t+dt} = H_dt H_t, so each step costs two Gaussian
-convolutions regardless of how long the history is.
+solved in closed form (the nonnegative root of a quadratic); the history
+term is folded forward through the semigroup identity H_{t+dt} = H_dt H_t,
+so each step costs two Gaussian convolutions regardless of how long the
+history is.
 """
 
 from __future__ import annotations
@@ -121,15 +122,14 @@ def solve_u(
     lam: float,
     psi: float,
     grid: GridSpec,
-    max_sweeps: int = 20,
-    sweep_tol: float = 1e-14,
 ) -> GridSolution:
     """March the nonlinear Volterra equation to T on the given grid.
 
     f maps (age, position) to nonnegative reals (broadcastable).  lam = 0 is
     allowed for solver testing and reduces to pure heat flow.  Raises
-    StepTooLarge when lam * dt * max(u_0) >= 1 (fixed point would not
-    contract; the maximum principle keeps ||u_t|| <= ||u_0||).
+    StepTooLarge when lam * dt * max(u_0) >= 1: the step would not resolve
+    the fastest decay rate lam * u of the quadratic term (the maximum
+    principle keeps ||u_t|| <= ||u_0||).
     """
     u0 = age_average(f, lam if lam > 0 else 1.0, grid)
     if np.any(u0 < 0):
@@ -158,14 +158,9 @@ def solve_u(
     for k in range(1, n_steps + 1):
         g = heat(g)
         hist = heat(hist + (0.5 * u0**2 if k == 1 else u_prev**2))
-        base = g - lam * dt * hist
-        u = u_prev.copy()
-        for _ in range(max_sweeps):
-            u_new = np.clip(base - 0.5 * lam * dt * u * u, 0.0, None)
-            delta = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if delta <= sweep_tol * max(bound, 1.0):
-                break
+        # nonnegative root of 0.5*lam*dt*u^2 + u = b, free of cancellation
+        b = np.maximum(g - lam * dt * hist, 0.0)
+        u = 2.0 * b / (1.0 + np.sqrt(1.0 + 2.0 * lam * dt * b))
         values[k] = u
         u_prev = u
     return GridSolution(times, values, lam, psi, grid)

@@ -17,9 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincinv, ndtri
-
-from .rng import RandomStream
+from scipy.special import gammainc, gammaincinv
 
 CRITICALITY_TOL = 1e-9
 MASS_TOL = 1e-12
@@ -44,10 +42,6 @@ class DegenerateOffspring(ModelError):
 
 
 class InfinitePsi(ModelError):
-    pass
-
-
-class NegativeDuration(ModelError):
     pass
 
 
@@ -422,10 +416,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     )
 
 
-def derived_constants(model: ValidatedModel) -> DerivedConstants:
-    return model.constants
-
-
 def binary_exponential_model(
     lam: float = 1.0, diffusion: float = 1.0, initial_age: float = 0.0, initial_position: float = 0.0
 ) -> ValidatedModel:
@@ -487,24 +477,6 @@ def limit_age_ppf(model: ValidatedModel, u):
     for i, ui in enumerate(flat):
         out[i] = brentq(lambda x: limit_age_cdf(model, x) - ui, 0.0, hi * (1 + 1e-9), xtol=1e-12)
     return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
-
-
-def sample_event(model: ValidatedModel, rng: RandomStream):
-    """One (lifetime, offspring count) pair; consumes two stream slots."""
-    u_life = rng.uniform()
-    u_off = rng.uniform()
-    lifetime = float(model.lifetime.ppf(u_life))
-    count = int(np.searchsorted(model.offspring_cumulative(), u_off, side="right"))
-    return lifetime, count
-
-
-def sample_displacement(model: ValidatedModel, duration: float, rng: RandomStream) -> float:
-    """Net displacement over `duration`; Normal(0, v(duration)), one slot."""
-    if duration < 0:
-        raise NegativeDuration(f"duration {duration!r} < 0")
-    u = rng.uniform()
-    v = float(model.motion.variance(duration))
-    return math.sqrt(v) * float(ndtri(u))
 
 
 # ---------------------------------------------------------------------------

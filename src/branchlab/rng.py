@@ -3,7 +3,7 @@
 Every random quantity drawn anywhere in this package is a pure function of a
 64-bit key plus an integer slot.  Keys are derived by hashing a path of
 integer tokens (seed -> replicate -> attempt -> particle), so results never
-depend on scheduling, batching, chunk sizes, or thread count: particle i of
+depend on batching, chunk sizes or wave layout: particle i of
 replicate r always sees the same draws no matter how the simulation around it
 is organised.  The hash is the splitmix64 finalizer, applied twice with
 domain-separation salts for key derivation versus value draws.

@@ -118,7 +118,6 @@ def estimate_survival_curve(
     horizons: Sequence[float],
     reps: int,
     rng: RandomStream,
-    threads: int = 1,
 ) -> list[SurvivalPoint]:
     """Frequency estimate of P(A_t) per horizon from unconditioned runs.
 
@@ -127,7 +126,7 @@ def estimate_survival_curve(
     target = 2.0 * model.mu / model.sigma2
     out = []
     for i, t in enumerate(horizons):
-        counts = survival_counts(model, float(t), rng.child(i), reps, threads=threads)
+        counts = survival_counts(model, float(t), rng.child(i), reps)
         p = float((counts > 0).mean())
         se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)
         out.append(SurvivalPoint(float(t), p, se, float(t) * p, target, reps))
@@ -159,21 +158,30 @@ def ks_distance(sample, cdf: Callable, level: float = DEFAULT_LEVEL) -> TestRepo
 def chi_square_gof(counts, pmf: Callable, level: float = DEFAULT_LEVEL, min_expected: float = 5.0) -> TestReport:
     """Chi-square GOF of integer observations against an exact pmf on {1,2,...}.
 
-    Cells beyond the point where the expected count drops under min_expected
-    are pooled into one tail cell."""
+    Cells below the first one whose expected count reaches min_expected are
+    pooled into it; cells from the next one that falls under min_expected
+    onward are pooled into one tail cell."""
     obs = np.asarray(counts, dtype=np.int64)
     n = obs.size
     if n == 0:
         raise EmptySample("chi-square needs observations")
+    if obs.min() < 1:
+        raise ValueError("chi-square observations must lie in {1, 2, ...}")
     kmax = int(obs.max())
     ks = np.arange(1, kmax + 1)
     expected = n * np.asarray(pmf(ks), dtype=float)
-    small = np.flatnonzero(expected < min_expected)
-    cut = int(small[0]) if small.size else kmax
-    cut = max(cut, 1)
-    edges = list(range(1, cut + 1))
-    obs_cells = np.array([np.sum(obs == k) for k in edges] + [np.sum(obs > cut)], dtype=float)
-    exp_cells = np.concatenate([expected[:cut], [n - expected[:cut].sum()]])
+    big = np.flatnonzero(expected >= min_expected)
+    lo = int(big[0]) if big.size else 0  # cells 0..lo form the low cell
+    small = np.flatnonzero(expected[lo:] < min_expected)
+    hi = max(lo + int(small[0]) if small.size else kmax, lo + 1)  # tail is k > hi
+    obs_cells = np.array(
+        [np.sum(obs <= lo + 1)] + [np.sum(obs == k) for k in range(lo + 2, hi + 1)]
+        + [np.sum(obs > hi)],
+        dtype=float,
+    )
+    exp_cells = np.concatenate(
+        [[expected[: lo + 1].sum()], expected[lo + 1 : hi], [n - expected[:hi].sum()]]
+    )
     keep = exp_cells > 0
     stat = float(np.sum((obs_cells[keep] - exp_cells[keep]) ** 2 / exp_cells[keep]))
     df = int(keep.sum()) - 1
@@ -368,13 +376,3 @@ def structural_m2_checks(
             )
         )
     return out
-
-
-def structural_m2_check(
-    model: ValidatedModel,
-    runs: Iterable[RunRecord],
-    phi: Callable,
-    rng: RandomStream,
-    sigma_factor: float = 3.0,
-) -> M2Report:
-    return structural_m2_checks(model, runs, [phi], rng, sigma_factor)[0]

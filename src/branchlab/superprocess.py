@@ -24,7 +24,6 @@ from .model import (
     Exponential,
     ModelSpec,
     OffspringLaw,
-    TimeInhomogeneous,
     ValidatedModel,
     validate_model,
 )
@@ -103,7 +102,6 @@ class ScalingFamily:
     n: int
     lam: float = 1.0
     offspring: Optional[OffspringLaw] = None
-    sigma_fn: Optional[Callable[[float], float]] = None
     nu: Intensity = field(default_factory=Intensity)
 
     def __post_init__(self):
@@ -118,13 +116,9 @@ class ScalingFamily:
 
     def model(self) -> ValidatedModel:
         """Microscopic model at this level: motion variance scaled by 1/n."""
-        if self.sigma_fn is None:
-            motion = Brownian(1.0 / self.n)
-        else:
-            sig, n = self.sigma_fn, self.n
-            motion = TimeInhomogeneous(lambda u: sig(u) / math.sqrt(n), name=f"scaled/{n}")
         return validate_model(
-            ModelSpec(lifetime=Exponential(self.lam), offspring=self.offspring, motion=motion)
+            ModelSpec(lifetime=Exponential(self.lam), offspring=self.offspring,
+                      motion=Brownian(1.0 / self.n))
         )
 
     def psi_unscaled(self) -> float:

@@ -2,7 +2,7 @@
 
 Each runner returns a CriterionResult with machine-readable rows.  All
 randomness descends from the single --seed, so a verify invocation is fully
-deterministic, including across thread counts.  Shared simulation batches
+deterministic, including across chunk sizes.  Shared simulation batches
 are cached per harness instance so `verify all` never simulates the same
 (horizon, size) batch twice.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -160,9 +160,8 @@ class _SurvivorStats:
 class Harness:
     """Caches shared simulation batches across criteria for one seed."""
 
-    def __init__(self, seed: int, threads: int = 1, model: Optional[ValidatedModel] = None):
+    def __init__(self, seed: int, model: Optional[ValidatedModel] = None):
         self.seed = int(seed)
-        self.threads = int(threads)
         self.model = model if model is not None else binary_exponential_model()
         self._survivor_cache: dict = {}
         self._counts_cache: dict = {}
@@ -249,9 +248,7 @@ def survival_decay(h: Harness, reps: int = 1_000_000) -> CriterionResult:
     """Survival probability decay: P(A_t) at t=20 against the exact
     birth-death value 2/(2+t), and t*P(A_t) against the limit 2*mu/sigma^2."""
     t = 20.0
-    [point] = estimate_survival_curve(
-        h.model, [t], reps, h._runs_stream(_TAG_SURVIVAL), threads=h.threads
-    )
+    [point] = estimate_survival_curve(h.model, [t], reps, h._runs_stream(_TAG_SURVIVAL))
     exact = birth_death_survival(1.0, t)
     rows = [
         _row_from_interval(
@@ -735,11 +732,10 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
     model = h.model
     rows = []
 
-    c1 = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps, threads=1)
-    c4 = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps, threads=4)
+    c1 = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps)
     c_chunk = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps, chunk_size=777)
-    same = bool(np.array_equal(c1, c4) and np.array_equal(c1, c_chunk))
-    rows.append(CheckRow("identical results across thread counts and chunk sizes", same,
+    same = bool(np.array_equal(c1, c_chunk))
+    rows.append(CheckRow("identical results across chunk sizes", same,
                          1.0 if same else 0.0, "byte-identical", 0.0 if same else 1.0, 0.5, n=reps))
 
     r1 = run_once(model, 15.0, stream(h.seed, 3, 0))
@@ -755,8 +751,7 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
     ok_struct = True
     mean_rows = []
     for t in (1.0, 5.0, 10.0, 20.0):
-        counts = survival_counts(model, t, h._runs_stream(_TAG_DETERMINISM).child(int(t)), 100_000,
-                                 threads=h.threads)
+        counts = survival_counts(model, t, h._runs_stream(_TAG_DETERMINISM).child(int(t)), 100_000)
         est = mean_estimate(counts.astype(float))
         mean_rows.append(
             _row_from_interval(f"mass conservation: mean N_t at t={t:g}", est, 1.0, sigma=4.0)
@@ -780,8 +775,7 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
     n_t, attempts = h.conditioned_population(10.0, 10_000, _TAG_T10)
     p_rej = 1.0 / float(np.mean(attempts))
     se_rej = p_rej**2 * float(np.std(attempts, ddof=1)) / math.sqrt(attempts.size)
-    counts = survival_counts(model, 10.0, h._runs_stream(_TAG_DETERMINISM).child(7), 100_000,
-                             threads=h.threads)
+    counts = survival_counts(model, 10.0, h._runs_stream(_TAG_DETERMINISM).child(7), 100_000)
     p_freq = float((counts > 0).mean())
     se_freq = math.sqrt(p_freq * (1 - p_freq) / counts.size)
     diff = abs(p_rej - p_freq)
@@ -817,12 +811,12 @@ EXPECTED_RED = {
 }
 
 
-def run_criteria(seed: int, names=None, threads: int = 1, reps=None):
+def run_criteria(seed: int, names=None, reps=None):
     """Run selected criteria (all by default); returns list[CriterionResult].
 
     `reps` overrides each runner's primary sample size (every runner's first
     knob); leave unset for the calibrated defaults."""
-    h = Harness(seed, threads=threads)
+    h = Harness(seed)
     selected = list(CRITERIA) if not names else list(names)
     out = []
     for name in selected:

@@ -35,7 +35,7 @@ Z = norm.isf(LEVEL / 2.0)  # two-sided 0.001-level normal quantile, 3.29
 
 @pytest.fixture(scope="module")
 def harness():
-    return Harness(SEED, threads=2)
+    return Harness(SEED)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import branchlab
 from branchlab.cli import dispatch
 
 
@@ -126,3 +131,12 @@ def test_superprocess_row(tmp_path):
 
 def test_superprocess_bad_f_exits_2():
     assert dispatch(["superprocess", "--n", "20", "--t", "1.0", "--f", "nope", "--seed", "1"]) == 2
+
+
+def test_module_entry_point_runs():
+    src = str(Path(branchlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "branchlab.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"branchlab {branchlab.__version__}"

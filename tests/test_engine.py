@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchlab import engine
 from branchlab.engine import (
     CapExceeded,
     GenealogyArena,
@@ -131,7 +132,7 @@ def test_batch_equals_single_run_conditioned():
 
 def test_thread_and_chunk_invariance():
     base = survival_counts(MODEL, 15.0, stream(8), 6000)
-    assert np.array_equal(base, survival_counts(MODEL, 15.0, stream(8), 6000, threads=4))
+    assert np.array_equal(base, survival_counts(MODEL, 15.0, stream(8), 6000, chunk_size=2000))
     assert np.array_equal(base, survival_counts(MODEL, 15.0, stream(8), 6000, chunk_size=501))
 
 
@@ -141,10 +142,13 @@ def test_block_size_invariance():
     assert a == b
 
 
-def test_attempt_block_invariance():
-    a = [r.attempts for r in iter_runs(MODEL, 12.0, stream(10), 30, conditioned=True, attempt_block=2)]
-    b = [r.attempts for r in iter_runs(MODEL, 12.0, stream(10), 30, conditioned=True, attempt_block=64)]
-    assert a == b
+def test_attempt_block_invariance(monkeypatch):
+    def attempts(block):
+        monkeypatch.setattr(engine, "_ATTEMPT_BLOCK", block)
+        runs = [r.attempts for r in iter_runs(MODEL, 12.0, stream(10), 30, conditioned=True)]
+        return runs, conditioned_counts(MODEL, 12.0, stream(10), 30)[1].tolist()
+
+    assert attempts(2) == attempts(64)
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2.0, 5.0, 9.0]))

@@ -97,6 +97,36 @@ def test_step_too_large():
         solve_u(lambda a, x: 3.0 * ONE(a, x), 1.0, 1.0, grid)
 
 
+def _sweep_solve(f, lam, psi, grid, max_sweeps=20, sweep_tol=1e-14):
+    """solve_u's earlier implicit step: fixed-point sweeps from the previous u."""
+    u0 = age_average(f, lam, grid)
+    bound = float(u0.max())
+    dt = grid.dt
+    heat = lambda v: semigroup_apply(v, dt, lam, psi, grid)
+    g, hist, u_prev = u0.copy(), np.zeros(grid.nx), u0
+    for k in range(1, grid.n_steps + 1):
+        g = heat(g)
+        hist = heat(hist + (0.5 * u0**2 if k == 1 else u_prev**2))
+        base = g - lam * dt * hist
+        u = u_prev.copy()
+        for _ in range(max_sweeps):
+            u_new = np.clip(base - 0.5 * lam * dt * u * u, 0.0, None)
+            delta = float(np.max(np.abs(u_new - u)))
+            u = u_new
+            if delta <= sweep_tol * max(bound, 1.0):
+                break
+        u_prev = u
+    return u_prev
+
+
+@pytest.mark.parametrize("f", [GAUSS, ONE, lambda a, x: 5.0 * ONE(a, x)])
+def test_closed_form_step_matches_sweeps(f):
+    grid = default_grid(1.0, 1.0, 1.0)
+    new = solve_u(f, 1.0, 1.0, grid).final()
+    old = _sweep_solve(f, 1.0, 1.0, grid)
+    assert np.max(np.abs(new - old)) <= 1e-14 * np.max(old)
+
+
 def test_riccati_oracle():
     grid = default_grid(1.0, 1.0, 1.0)
     sol = solve_u(ONE, 1.0, 1.0, grid)

@@ -16,19 +16,15 @@ from branchlab.model import (
     MassAtZeroLifetime,
     ModelError,
     ModelSpec,
-    NegativeDuration,
     NotCritical,
     OffspringLaw,
     TimeInhomogeneous,
     UniformLifetime,
     binary_exponential_model,
-    derived_constants,
     limit_age_cdf,
     limit_age_ppf,
     parse_model_config,
     psi_quadrature,
-    sample_displacement,
-    sample_event,
     validate_model,
 )
 from branchlab.rng import stream
@@ -116,12 +112,6 @@ def test_sigma2_binary():
     assert BINARY.variance() == 1.0
 
 
-def test_derived_constants_accessor():
-    m = binary_exponential_model()
-    c = derived_constants(m)
-    assert (c.mu, c.sigma2, c.psi) == (1.0, 1.0, 1.0)
-
-
 @pytest.mark.parametrize(
     "lifetime,motion,expected",
     [
@@ -192,35 +182,12 @@ def test_limit_age_ppf_inverts_cdf():
 # --- samplers ---------------------------------------------------------------
 
 
-def test_sample_event_deterministic():
-    m = binary_exponential_model()
-    assert sample_event(m, stream(42)) == sample_event(m, stream(42))
-
-
-def test_sample_event_point_mass_lifetime():
-    m = validate_model(spec(lifetime=Deterministic(1.0)))
-    for i in range(20):
-        life, count = sample_event(m, stream(i))
-        assert life == 1.0
-        assert count in (0, 2)
-
-
 def test_offspring_mean_large_sample():
-    # vectorized equivalent of repeated sample_event count draws
+    # offspring counts drawn as the engine draws them
     m = binary_exponential_model()
     u = stream(314).uniform(size=1_000_000)
     counts = np.searchsorted(m.offspring_cumulative(), u, side="right")
     assert abs(counts.mean() - 1.0) < 0.005  # 4 sigma / sqrt(n) with sigma=1
-
-
-def test_sample_displacement_zero_duration():
-    m = binary_exponential_model()
-    assert sample_displacement(m, 0.0, stream(1)) == 0.0
-
-
-def test_sample_displacement_negative_duration():
-    with pytest.raises(NegativeDuration):
-        sample_displacement(binary_exponential_model(), -0.5, stream(1))
 
 
 def test_displacement_variance_brownian():
@@ -233,9 +200,12 @@ def test_displacement_variance_brownian():
 
 
 def test_displacement_variance_time_inhomogeneous():
+    from branchlab.rng import normal_at, mix64
+
     m = validate_model(spec(motion=TimeInhomogeneous(lambda u: u, name="linear")))
-    draws = np.array([sample_displacement(m, 2.0, stream(i)) for i in range(4000)])
     target = 8.0 / 3.0  # int_0^2 u^2 du
+    assert np.allclose(m.motion.variance(np.array([0.0, 2.0, 2.0])), [0.0, target, target], rtol=1e-12)
+    draws = math.sqrt(m.motion.variance(2.0)) * normal_at(mix64(np.arange(4000, dtype=np.uint64)), 0)
     assert abs(draws.var() - target) < 4 * target * np.sqrt(2 / draws.size)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, poisson
 
 from branchlab.engine import Snapshot, iter_runs
 from branchlab.model import binary_exponential_model
@@ -115,6 +115,18 @@ def test_chi_square_null_calibration():
         rep = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(lam, t, k), level=1e-3)
         fails += not rep.passed
     assert fails <= 2
+
+
+def test_chi_square_pools_low_and_high_tails():
+    # a law whose mass starts far above k=1 keeps its bulk cells
+    draws = poisson.ppf(stream(5).uniform(size=5000), 100.0).astype(int)
+    same = chi_square_gof(draws, lambda k: poisson.pmf(k, 100.0), level=1e-3)
+    shifted = chi_square_gof(draws, lambda k: poisson.pmf(k, 103.0), level=1e-3)
+    assert same.passed
+    assert not shifted.passed
+    assert int(shifted.target.split()[2]) > 30  # degrees of freedom
+    with pytest.raises(ValueError):
+        chi_square_gof(np.append(draws, 0), lambda k: poisson.pmf(k, 100.0))
 
 
 def test_independence_null_calibration():
