@@ -88,7 +88,7 @@ def _cmd_verify(args) -> int:
     names = None if args.checks == ["all"] or not args.checks else args.checks
     try:
         results = run_criteria(args.seed, names, reps=args.reps)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
     model_digest = binary_exponential_model().digest()

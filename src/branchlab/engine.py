@@ -54,7 +54,9 @@ class HorizonExceeded(ValueError):
 
 @dataclass(frozen=True)
 class GenealogyArena:
-    """Append-only particle table for one run, in id order.
+    """Append-only particle table for one run, in id order.  Its columns own
+    their data: they hold this run's rows and nothing of the batch it was
+    simulated in.
 
     `lifetime` stores the full drawn lifetime even when the particle outlives
     the horizon; `displacement` covers motion from max(birth, 0) to
@@ -131,8 +133,10 @@ def _batch_simulate(
     """Simulate every replicate in the batch to `horizon`.
 
     run_keys: one uint64 key per replicate.  Roots must be sorted by rep.
-    mode: "arena" returns full per-particle columns plus per-rep bounds;
-    "snapshot" returns alive rows only; "counts" returns N_t per replicate.
+    mode: "arena" returns the per-particle columns in wave order, their
+    stable order by rep and per-rep bounds into that order; "snapshot"
+    returns alive rows only; "counts" returns N_t per replicate.  The last
+    item of every tuple returned is N_t per replicate.
     """
     n_rep = run_keys.size
     law = model.lifetime
@@ -240,8 +244,11 @@ def _batch_simulate(
             )
         return np.empty(0, np.int64), np.empty(0), np.empty(0), counts_alive
 
+    # replicate r's rows, in id order, are order[bounds[r]:bounds[r + 1]]
+    rep = np.concatenate(acc.rep)
+    order = np.argsort(rep, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rep, minlength=n_rep))))
     cols = {
-        "rep": np.concatenate(acc.rep),
         "parent": np.concatenate(acc.parent),
         "birth": np.concatenate(acc.birth),
         "lifetime": np.concatenate(acc.lifetime),
@@ -249,11 +256,7 @@ def _batch_simulate(
         "pos": np.concatenate(acc.pos),
         "alive": np.concatenate(acc.alive),
     }
-    order = np.argsort(cols["rep"], kind="stable")
-    for k in cols:
-        cols[k] = cols[k][order]
-    bounds = np.searchsorted(cols["rep"], np.arange(n_rep + 1))
-    return cols, bounds, counts_alive
+    return cols, order, bounds, counts_alive
 
 
 def _single_root_arrays(n_rep: int, model: ValidatedModel):
@@ -263,15 +266,17 @@ def _single_root_arrays(n_rep: int, model: ValidatedModel):
     return rep, birth, pos
 
 
-def _extract_run(model, horizon, cols, bounds, r, attempts, seed_path) -> RunRecord:
-    sl = slice(bounds[r], bounds[r + 1])
+def _extract_run(model, horizon, batch, r, attempts, seed_path) -> RunRecord:
+    """Replicate r of an arena batch as fresh arrays, so the batch is not kept alive."""
+    cols, order, bounds, _ = batch
+    idx = order[bounds[r]:bounds[r + 1]]
     arena = GenealogyArena(
-        parent=np.ascontiguousarray(cols["parent"][sl]),
-        birth=np.ascontiguousarray(cols["birth"][sl]),
-        lifetime=np.ascontiguousarray(cols["lifetime"][sl]),
-        displacement=np.ascontiguousarray(cols["disp"][sl]),
-        position=np.ascontiguousarray(cols["pos"][sl]),
-        alive=np.ascontiguousarray(cols["alive"][sl]),
+        parent=cols["parent"].take(idx),
+        birth=cols["birth"].take(idx),
+        lifetime=cols["lifetime"].take(idx),
+        displacement=cols["disp"].take(idx),
+        position=cols["pos"].take(idx),
+        alive=cols["alive"].take(idx),
         horizon=float(horizon),
         initial_age=model.initial_age,
         initial_position=model.initial_position,
@@ -303,8 +308,8 @@ def run_once(
         raise ValueError("horizon must be nonnegative")
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
-    cols, bounds, _ = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")
-    return _extract_run(model, horizon, cols, bounds, 0, 1, rng.path)
+    batch = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")
+    return _extract_run(model, horizon, batch, 0, 1, rng.path)
 
 
 def run_conditioned(
@@ -366,7 +371,7 @@ def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, condit
             model, horizon, keys, rep, birth, pos, particle_cap, mode,
             rep_labels=np.repeat(pending, width),
         )
-        counts = (out if mode == "counts" else out[2]).reshape(pending.size, width)
+        counts = (out if mode == "counts" else out[-1]).reshape(pending.size, width)
         hit = counts > 0 if conditioned else np.ones_like(counts, dtype=bool)
         any_hit = hit.any(axis=1)
         first = np.argmax(hit, axis=1)[any_hit]
@@ -431,19 +436,22 @@ def iter_runs(
 ) -> Iterator[RunRecord]:
     """Yield full RunRecords for replicates 0..reps-1 in replicate order.
 
-    Simulates blocks of replicates at once; memory stays bounded by one
-    block's arenas.  An unconditioned run is the attempt-0 realization of the
-    conditioned driver, so the two agree run for run, and a conditioned run
-    matches `run_conditioned` exactly.
+    Simulates blocks of replicates at once.  Kept runs own their rows, so a
+    round's batch (rejected attempts included) is freed after the next round
+    is simulated: memory is bounded by one block's kept arenas plus the
+    batches of the round in flight and the round before it.  An
+    unconditioned run is the attempt-0 realization of the conditioned
+    driver, so the two agree run for run, and a conditioned run matches
+    `run_conditioned` exactly.
     """
     for start in range(0, reps, block_size):
         stop = min(start + block_size, reps)
         results: dict[int, RunRecord] = {}
-        for done, rows, attempts, (cols, bounds, _) in _settle(
+        for done, rows, attempts, batch in _settle(
             model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "arena"
         ):
             for r, row, a in zip(done.tolist(), rows.tolist(), attempts.tolist()):
-                results[r] = _extract_run(model, horizon, cols, bounds, row, a, rng.path + (r,))
+                results[r] = _extract_run(model, horizon, batch, row, a, rng.path + (r,))
         for r in range(start, stop):
             yield results[r]
 

@@ -108,11 +108,11 @@ def test_criterion_03_generation_count(harness, results):
     t = 100.0
     gens = harness.conditioned_batch(t, 10_000, _TAG_T100).generations
     n = gens.size
-    assert row.value == np.mean(np.abs(gens / t - 1.0) > 0.1)  # the row's own sample
+    assert row.value == np.mean(np.abs(gens - t) > 0.1 * t)  # the row's own sample
     m = np.arange(0, int(4 * t))
     pmf = generation_count_pmf(t, m)
-    # the row's own predicate, so M_t = 110 counts as a deviation as it does there
-    p_dev = 1.0 - pmf[np.abs(m / t - 1.0) <= 0.1].sum()
+    # the row's own predicate: |M_t - t| > 0.1 t on integers, symmetric in M_t
+    p_dev = 1.0 - pmf[np.abs(m - t) <= 0.1 * t].sum()
     band = Z * math.sqrt(p_dev * (1.0 - p_dev) / n)
     assert p_dev - band > row.threshold
     assert abs(row.value - p_dev) <= band

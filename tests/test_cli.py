@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import branchlab
+from branchlab import verify
 from branchlab.cli import dispatch
 
 
@@ -67,6 +70,26 @@ def test_model_config_accepted(tmp_path):
 
 def test_verify_unknown_check_exits_2():
     assert dispatch(["verify", "nonsense", "--seed", "1"]) == 2
+
+
+def test_verify_reps_beyond_batch_exits_2_without_simulating(monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting --reps")
+
+    monkeypatch.setattr(verify, "iter_runs", no_simulation)
+    assert dispatch(["verify", "coalescent-stability", "--seed", "1", "--reps", "6000"]) == 2
+    assert "n=6000" in capsys.readouterr().err
+
+
+def test_coalescent_stability_names_and_bounds_its_sample():
+    class TenPairs:
+        def conditioned_batch(self, horizon, n_runs, tag):
+            return SimpleNamespace(taus=np.linspace(0.05, 0.95, 10))
+
+    res = verify.coalescent_stability(TenPairs(), 10)
+    assert res.rows[0].name == "two-sample CvM of tau_1/t at t=50 vs t=100 (n=10 each)"
+    with pytest.raises(ValueError, match="10 pairs"):
+        verify.coalescent_stability(TenPairs(), 11)
 
 
 def test_verify_single_check_passes(tmp_path, capsys):

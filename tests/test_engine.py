@@ -1,5 +1,7 @@
+import gc
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,26 @@ def test_attempt_block_invariance(monkeypatch):
         return runs, conditioned_counts(MODEL, 12.0, stream(10), 30)[1].tolist()
 
     assert attempts(2) == attempts(64)
+
+
+def test_kept_runs_own_their_rows():
+    # a kept run must not hold a view into its round's batch, most of whose
+    # rows are rejected attempts of other replicates
+    tracemalloc.start()
+    try:
+        runs = list(iter_runs(binary_exponential_model(), 50.0, stream(3), 64, conditioned=True))
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    owned = 0
+    for run in runs:
+        a, s = run.arena, run.snapshot
+        cols = (a.parent, a.birth, a.lifetime, a.displacement, a.position, a.alive,
+                s.ages, s.positions, s.ids)
+        owned += sum(c.nbytes for c in cols)
+        assert a.birth.flags.owndata
+    assert traced <= 1.2 * owned, (traced, owned)
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2.0, 5.0, 9.0]))

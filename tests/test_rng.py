@@ -79,6 +79,16 @@ def test_slot_uniform_matches_uniform_at():
     assert np.array_equal(slot_uniform(keys, h), uniform_from_u64(draw_u64(keys, 2)))
 
 
+def test_hashing_leaves_inputs_unchanged():
+    x = np.arange(1000, dtype=np.uint64)
+    keys = mix64(x)
+    before = keys.copy()
+    mix64(keys)
+    slot_uniform(keys, slot_hash(1))
+    assert np.array_equal(x, np.arange(1000, dtype=np.uint64))
+    assert np.array_equal(keys, before)
+
+
 def test_draw_and_child_domains_are_separated():
     key = int(mix64(9)[0])
     assert int(derive_key(key, 4)[0]) != int(draw_u64(key, 4)[0])
