@@ -24,7 +24,7 @@ from .loglaplace import default_grid, integrate_against, solution_csv, solve_u
 from .model import ConfigError, ModelError, binary_exponential_model, parse_model_config, validate_model
 from .rng import stream
 from .superprocess import Intensity, ScalingFamily, laplace_mc
-from .verify import CRITERIA, run_criteria
+from .verify import CRITERIA, RepsUnavailable, run_criteria
 
 USAGE_ERROR = 2
 
@@ -88,7 +88,7 @@ def _cmd_verify(args) -> int:
     names = None if args.checks == ["all"] or not args.checks else args.checks
     try:
         results = run_criteria(args.seed, names, reps=args.reps)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, RepsUnavailable) as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
     model_digest = binary_exponential_model().digest()

@@ -54,9 +54,9 @@ class HorizonExceeded(ValueError):
 
 @dataclass(frozen=True)
 class GenealogyArena:
-    """Append-only particle table for one run, in id order.  Its columns own
-    their data: they hold this run's rows and nothing of the batch it was
-    simulated in.
+    """Append-only particle table for one run, in id order.  Its columns
+    may be slices of arrays shared with the other runs kept from the same
+    batch, but those arrays hold no other row of that batch.
 
     `lifetime` stores the full drawn lifetime even when the particle outlives
     the horizon; `displacement` covers motion from max(birth, 0) to
@@ -266,30 +266,45 @@ def _single_root_arrays(n_rep: int, model: ValidatedModel):
     return rep, birth, pos
 
 
-def _extract_run(model, horizon, batch, r, attempts, seed_path) -> RunRecord:
-    """Replicate r of an arena batch as fresh arrays, so the batch is not kept alive."""
+def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]:
+    """RunRecords for the replicates `rows` of an arena batch.
+
+    One gather per column takes exactly these runs' rows, run after run, so
+    the records keep none of the batch's other rows (rejected attempts
+    included) alive; each record's arrays are slices of those gathers.
+    """
     cols, order, bounds, _ = batch
-    idx = order[bounds[r]:bounds[r + 1]]
-    arena = GenealogyArena(
-        parent=cols["parent"].take(idx),
-        birth=cols["birth"].take(idx),
-        lifetime=cols["lifetime"].take(idx),
-        displacement=cols["disp"].take(idx),
-        position=cols["pos"].take(idx),
-        alive=cols["alive"].take(idx),
-        horizon=float(horizon),
-        initial_age=model.initial_age,
-        initial_position=model.initial_position,
-        motion=model.motion,
-    )
-    ids = arena.alive_ids()
-    snapshot = Snapshot(
-        ages=horizon - arena.birth[ids],
-        positions=arena.position[ids],
-        ids=ids,
-        horizon=float(horizon),
-    )
-    return RunRecord(arena=arena, snapshot=snapshot, attempts=attempts, seed_path=seed_path)
+    horizon = float(horizon)
+    lo, hi = bounds[rows], bounds[rows + 1]
+    ends = np.cumsum(hi - lo)
+    starts = ends - (hi - lo)
+    idx = np.concatenate([order[:0]] + [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+    kept = {k: c.take(idx) for k, c in cols.items()}
+    alive_at = np.flatnonzero(kept["alive"])
+    alive_bounds = np.searchsorted(alive_at, np.append(starts, idx.size))
+    ids = alive_at - np.repeat(starts, np.diff(alive_bounds))
+    ages = horizon - kept["birth"][alive_at]
+    positions = kept["pos"][alive_at]
+
+    runs = []
+    for i, (s, e, a, b) in enumerate(
+        zip(starts.tolist(), ends.tolist(), alive_bounds[:-1].tolist(), alive_bounds[1:].tolist())
+    ):
+        arena = GenealogyArena(
+            parent=kept["parent"][s:e],
+            birth=kept["birth"][s:e],
+            lifetime=kept["lifetime"][s:e],
+            displacement=kept["disp"][s:e],
+            position=kept["pos"][s:e],
+            alive=kept["alive"][s:e],
+            horizon=horizon,
+            initial_age=model.initial_age,
+            initial_position=model.initial_position,
+            motion=model.motion,
+        )
+        snapshot = Snapshot(ages=ages[a:b], positions=positions[a:b], ids=ids[a:b], horizon=horizon)
+        runs.append(RunRecord(arena=arena, snapshot=snapshot, attempts=attempts[i], seed_path=seed_paths[i]))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +324,7 @@ def run_once(
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
     batch = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")
-    return _extract_run(model, horizon, batch, 0, 1, rng.path)
+    return _extract_runs(model, horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
 
 
 def run_conditioned(
@@ -436,10 +451,11 @@ def iter_runs(
 ) -> Iterator[RunRecord]:
     """Yield full RunRecords for replicates 0..reps-1 in replicate order.
 
-    Simulates blocks of replicates at once.  Kept runs own their rows, so a
-    round's batch (rejected attempts included) is freed after the next round
-    is simulated: memory is bounded by one block's kept arenas plus the
-    batches of the round in flight and the round before it.  An
+    Simulates blocks of replicates at once.  The runs kept from a round
+    share one gather of exactly their rows, so the round's batch (rejected
+    attempts included) is freed after the next round is simulated: memory is
+    bounded by one block's kept arenas plus the batches of the round in
+    flight and the round before it.  An
     unconditioned run is the attempt-0 realization of the conditioned
     driver, so the two agree run for run, and a conditioned run matches
     `run_conditioned` exactly.
@@ -450,8 +466,10 @@ def iter_runs(
         for done, rows, attempts, batch in _settle(
             model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "arena"
         ):
-            for r, row, a in zip(done.tolist(), rows.tolist(), attempts.tolist()):
-                results[r] = _extract_run(model, horizon, batch, row, a, rng.path + (r,))
+            done = done.tolist()
+            paths = [rng.path + (r,) for r in done]
+            runs = _extract_runs(model, horizon, batch, rows, attempts.tolist(), paths)
+            results.update(zip(done, runs))
         for r in range(start, stop):
             yield results[r]
 

@@ -31,22 +31,11 @@ _SHIFT11 = np.uint64(11)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (wraps modulo 2^64) of a uint64 ndarray the caller
-    owns.  z is overwritten in place, with one scratch buffer, unless it holds
-    a single key: there in-place ufuncs cost more than fresh results."""
-    if z.size == 1:
-        z = z + _GOLDEN
-        z = (z ^ (z >> _SHIFT30)) * _MULT1
-        z = (z ^ (z >> _SHIFT27)) * _MULT2
-        return z ^ (z >> _SHIFT31)
-    t = np.empty_like(z)
-    z += _GOLDEN
-    z ^= np.right_shift(z, _SHIFT30, out=t)
-    z *= _MULT1
-    z ^= np.right_shift(z, _SHIFT27, out=t)
-    z *= _MULT2
-    z ^= np.right_shift(z, _SHIFT31, out=t)
-    return z
+    """splitmix64 finalizer on a uint64 ndarray (wraps modulo 2^64)."""
+    z = z + _GOLDEN
+    z = (z ^ (z >> _SHIFT30)) * _MULT1
+    z = (z ^ (z >> _SHIFT27)) * _MULT2
+    return z ^ (z >> _SHIFT31)
 
 
 def _as_u64(x) -> np.ndarray:
@@ -61,7 +50,7 @@ def _as_u64(x) -> np.ndarray:
 
 
 def mix64(x) -> np.ndarray:
-    return _mix(_as_u64(x).copy())
+    return _mix(_as_u64(x))
 
 
 def derive_key(key, token) -> np.ndarray:
@@ -82,11 +71,7 @@ def slot_hash(slot: int) -> np.uint64:
 def slot_uniform(keys: np.ndarray, hashed_slot: np.uint64) -> np.ndarray:
     """Uniform(0,1) draws at a precomputed slot for uint64 key arrays."""
     bits = _mix(keys ^ hashed_slot)
-    bits >>= _SHIFT11
-    u = bits.astype(np.float64)
-    u += 0.5
-    u *= _INV_2_53
-    return u
+    return ((bits >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
 
 
 def draw_u64(key, slot) -> np.ndarray:

@@ -61,6 +61,10 @@ from .superprocess import Intensity, ScalingFamily, laplace_mc, near_critical_fa
 LEVEL = 1e-3
 
 
+class RepsUnavailable(ValueError):
+    """A criterion cannot honour the sample size it was asked for."""
+
+
 @dataclass
 class CheckRow:
     name: str
@@ -446,15 +450,17 @@ def ancestral_clt(h: Harness, n_full: int = 10_000) -> CriterionResult:
 def coalescent_stability(h: Harness, n_pinned: int = 5000) -> CriterionResult:
     """Stability of the pair coalescence-time law tau_1/t across horizons.
 
-    Raises ValueError when either batch has fewer than `n_pinned` pairs."""
+    Raises RepsUnavailable unless 1 <= n_pinned <= the pairs in either batch."""
     n50 = 5300
-    if n_pinned > n50:
-        raise ValueError(f"coalescent-stability: n={n_pinned} exceeds the {n50} runs at t=50")
+    if not 1 <= n_pinned <= n50:
+        raise RepsUnavailable(f"coalescent-stability: n={n_pinned} is outside 1..{n50}")
     b50 = h.conditioned_batch(50.0, n50, _TAG_T50)
     b100 = h.conditioned_batch(100.0, 10_000, _TAG_T100)
     n_pairs = min(b50.taus.size, b100.taus.size)
     if n_pinned > n_pairs:
-        raise ValueError(f"coalescent-stability: n={n_pinned} exceeds the {n_pairs} pairs available")
+        raise RepsUnavailable(
+            f"coalescent-stability: n={n_pinned} exceeds the {n_pairs} pairs available"
+        )
     tau50 = b50.taus[:n_pinned]
     tau100 = b100.taus[:n_pinned]
     cvm = cvm_two_sample(tau50, tau100, level=LEVEL)

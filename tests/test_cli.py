@@ -88,8 +88,11 @@ def test_coalescent_stability_names_and_bounds_its_sample():
 
     res = verify.coalescent_stability(TenPairs(), 10)
     assert res.rows[0].name == "two-sample CvM of tau_1/t at t=50 vs t=100 (n=10 each)"
-    with pytest.raises(ValueError, match="10 pairs"):
+    with pytest.raises(verify.RepsUnavailable, match="10 pairs"):
         verify.coalescent_stability(TenPairs(), 11)
+    for n in (0, -5):
+        with pytest.raises(verify.RepsUnavailable, match=f"n={n} "):
+            verify.coalescent_stability(None, n)  # rejected before any batch is asked for
 
 
 def test_verify_single_check_passes(tmp_path, capsys):
