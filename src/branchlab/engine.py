@@ -391,6 +391,7 @@ def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, condit
         any_hit = hit.any(axis=1)
         first = np.argmax(hit, axis=1)[any_hit]
         yield pending[any_hit], np.flatnonzero(any_hit) * width + first, base + first + 1, out
+        del out  # so a caller done with the batch frees it before the next round
         pending = pending[~any_hit]
         base += width
 
@@ -452,10 +453,9 @@ def iter_runs(
     """Yield full RunRecords for replicates 0..reps-1 in replicate order.
 
     Simulates blocks of replicates at once.  The runs kept from a round
-    share one gather of exactly their rows, so the round's batch (rejected
-    attempts included) is freed after the next round is simulated: memory is
-    bounded by one block's kept arenas plus the batches of the round in
-    flight and the round before it.  An
+    share one gather of exactly their rows, and the round's batch (rejected
+    attempts included) is freed before the next round is simulated: memory
+    is bounded by one block's kept arenas plus one round's batch.  An
     unconditioned run is the attempt-0 realization of the conditioned
     driver, so the two agree run for run, and a conditioned run matches
     `run_conditioned` exactly.
@@ -470,6 +470,7 @@ def iter_runs(
             paths = [rng.path + (r,) for r in done]
             runs = _extract_runs(model, horizon, batch, rows, attempts.tolist(), paths)
             results.update(zip(done, runs))
+            del batch
         for r in range(start, stop):
             yield results[r]
 
