@@ -13,8 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from branchlab.cli import _named_test_function
-from branchlab.loglaplace import default_grid, integrate_against, solve_u
+from branchlab.loglaplace import default_grid, integrate_against, parse_test_function, solve_u
 from branchlab.rng import stream
 from branchlab.superprocess import Intensity, ScalingFamily, laplace_mc
 
@@ -30,7 +29,7 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    f = _named_test_function(args.f)
+    f = parse_test_function(args.f)
     nu = Intensity()
     psi = ScalingFamily(n=args.levels[0], lam=args.lam, nu=nu).psi_unscaled()
     grid = default_grid(args.lam, psi, args.t)

@@ -4,7 +4,7 @@ loglaplace.
 All randomness descends from the mandatory --seed; rerunning a command with
 identical arguments produces byte-identical machine output.  Exit codes:
 0 all selected checks passed, 1 a statistical check failed, 2 usage or
-configuration error.
+configuration error; an error raised inside a check keeps its traceback.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .engine import arena_to_csv, iter_runs, run_to_jsonl
 from .genealogy import coalescence_times, coalescent_csv_rows, sample_survivors
-from .loglaplace import default_grid, integrate_against, solution_csv, solve_u
+from .loglaplace import default_grid, integrate_against, parse_test_function, solution_csv, solve_u
 from .model import ConfigError, ModelError, binary_exponential_model, parse_model_config, validate_model
 from .rng import stream
 from .superprocess import Intensity, ScalingFamily, laplace_mc
-from .verify import CRITERIA, RepsUnavailable, run_criteria
+from .verify import CRITERIA, Harness, RepsUnavailable, run_criteria
 
 USAGE_ERROR = 2
 
@@ -34,24 +32,6 @@ def _load_model(path):
         return binary_exponential_model()
     text = Path(path).read_text()
     return validate_model(parse_model_config(text))
-
-
-def _named_test_function(name: str):
-    """Registry of bounded test functions: const:<c>, gauss, age-exp."""
-    if name.startswith("const:"):
-        c = float(name.split(":", 1)[1])
-        if c < 0:
-            raise ConfigError("const test function must be nonnegative")
-        return lambda a, x: c * np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
-    if name == "gauss":
-        return lambda a, x: np.exp(-np.asarray(x, dtype=float) ** 2) * np.ones_like(
-            np.asarray(a, dtype=float)
-        )
-    if name == "age-exp":
-        return lambda a, x: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(
-            np.asarray(x, dtype=float)
-        )
-    raise ConfigError(f"unknown test function {name!r}; use const:<c>, gauss or age-exp")
 
 
 def _write(path, text):
@@ -85,13 +65,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = None if args.checks == ["all"] or not args.checks else args.checks
+    names = None if "all" in args.checks else args.checks
+    h = Harness(args.seed)
     try:
-        results = run_criteria(args.seed, names, reps=args.reps)
-    except (KeyError, RepsUnavailable) as exc:
+        results = run_criteria(h, names, reps=args.reps)
+    except RepsUnavailable as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
-    model_digest = binary_exponential_model().digest()
+    model_digest = h.model.digest()
     json_lines = []
     all_pass = True
     for res in results:
@@ -130,7 +111,7 @@ def _cmd_coalescent(args) -> int:
 
 
 def _cmd_superprocess(args) -> int:
-    f = _named_test_function(args.f)
+    f = parse_test_function(args.f)
     nu = Intensity(total_mass=args.nu_mass)
     fam = ScalingFamily(n=args.n, lam=args.lam, nu=nu)
     est = laplace_mc(fam, f, args.t, args.reps, stream(args.seed))
@@ -155,7 +136,7 @@ def _cmd_superprocess(args) -> int:
 
 
 def _cmd_loglaplace(args) -> int:
-    f = _named_test_function(args.f)
+    f = parse_test_function(args.f)
     grid = default_grid(args.lam, args.psi, args.t, nx=args.nx, dt=args.dt)
     sol = solve_u(f, args.lam, args.psi, grid)
     nu = Intensity(total_mass=args.nu_mass)
@@ -195,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=_cmd_simulate)
 
     ver = sub.add_parser("verify", help="run acceptance checks headless")
-    ver.add_argument("checks", nargs="*", default=["all"],
-                     help=f"check names or 'all'; available: {', '.join(CRITERIA)}")
+    ver.add_argument("checks", nargs="*", default="all", choices=["all", *CRITERIA],
+                     help="check names or 'all' (the default)")
     ver.add_argument("--seed", type=int, required=True)
     ver.add_argument("--reps", type=int, default=None,
                      help="override each check's primary sample size")
@@ -217,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sup.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sup.add_argument("--t", type=float, required=True, help="macroscopic horizon")
     sup.add_argument("--reps", type=int, default=500, help="independent fields")
-    sup.add_argument("--f", default="const:1.0", help="test function: const:<c>, gauss, age-exp")
+    sup.add_argument("--f", default="const:1.0", help="test function: const:<c>, gauss, age-exp, indicator")
     sup.add_argument("--nu-mass", type=float, default=1.0)
     sup.add_argument("--seed", type=int, required=True)
     sup.add_argument("--out", help="JSONL output path (default stdout)")
@@ -244,6 +225,8 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if args.fn is _cmd_verify:
+        return _cmd_verify(args)  # a criterion's own errors keep their traceback
     try:
         return args.fn(args)
     except (ConfigError, ModelError, FileNotFoundError, ValueError, KeyError) as exc:

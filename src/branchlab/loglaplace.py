@@ -20,6 +20,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter1d
 from scipy.special import roots_laguerre
 
+from .model import ConfigError
+
 
 class GridTooCoarse(ValueError):
     pass
@@ -164,6 +166,31 @@ def solve_u(
         values[k] = u
         u_prev = u
     return GridSolution(times, values, lam, psi, grid)
+
+
+def _ones(a, x):
+    return np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
+
+
+# bounded nonnegative test functions f(age, position), by name
+_TEST_FUNCTIONS = {
+    "gauss": lambda a, x: np.exp(-np.asarray(x, dtype=float) ** 2) * np.ones_like(np.asarray(a, dtype=float)),
+    "age-exp": lambda a, x: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)),
+    "indicator": lambda a, x: (np.asarray(x, dtype=float) <= 0.0) * _ones(a, x),
+}
+
+
+def parse_test_function(name: str) -> Callable:
+    """const:<c> (c >= 0), gauss = exp(-x^2), age-exp = exp(-a) or
+    indicator = 1{x <= 0}, as f(age, position)."""
+    if name.startswith("const:"):
+        c = float(name.split(":", 1)[1])
+        if c < 0:
+            raise ConfigError("const test function must be nonnegative")
+        return lambda a, x: c * _ones(a, x)
+    if name not in _TEST_FUNCTIONS:
+        raise ConfigError(f"unknown test function {name!r}; use const:<c>, {', '.join(_TEST_FUNCTIONS)}")
+    return _TEST_FUNCTIONS[name]
 
 
 def constant_oracle(c: float, lam: float, t: float) -> float:

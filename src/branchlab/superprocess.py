@@ -31,6 +31,7 @@ from .rng import RandomStream, derive_key
 from .stats import Estimate
 
 DEFAULT_EPSILON = 0.01
+_FIELD_BATCH = 64  # fields simulated together; results do not depend on it
 
 
 class NTooSmall(ValueError):
@@ -127,27 +128,6 @@ class ScalingFamily:
         return self.model().psi * self.n
 
 
-@dataclass(frozen=True)
-class ScaledMeasure:
-    """Atoms of Y^n at macroscopic time t: weight 1/n per alive particle."""
-
-    ages: np.ndarray
-    positions: np.ndarray
-    weight: float
-    time: float
-    n: int
-
-    @property
-    def total_mass(self) -> float:
-        return self.ages.size * self.weight
-
-    def integrate(self, f: Callable) -> float:
-        """<f, measure> = weight * sum f(age, position)."""
-        if self.ages.size == 0:
-            return 0.0
-        return float(self.weight * np.sum(f(self.ages, self.positions)))
-
-
 def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
     """Poisson(n |nu|) atoms i.i.d. from the normalized intensity.
 
@@ -168,32 +148,46 @@ def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
     return ages, positions
 
 
-def run_scaled(
+def scaled_fields(
     family: ScalingFamily,
     t: float,
+    reps: int,
     rng: RandomStream,
     particle_cap: int = DEFAULT_PARTICLE_CAP,
     epsilon: float = DEFAULT_EPSILON,
-) -> ScaledMeasure:
-    """Simulate one scaled field to macroscopic time t (microscopic n*t)."""
+):
+    """Simulate `reps` independent fields of Y^n to macroscopic time t
+    (microscopic n*t), `_FIELD_BATCH` at a time.
+
+    Field r starts from the Poisson field of rng.child(r).child(0) and runs
+    under the key derived from rng.child(r), so it does not depend on the
+    batching.  Yields simulate_fields' (rep, ages, positions, counts) per
+    batch, rep counted from the batch's first field; each alive particle
+    carries weight 1/n.
+    """
     if t < epsilon:
         raise ValueError(f"macroscopic time {t} below the cutoff {epsilon}")
+    if reps < 1:
+        raise ValueError("reps must be positive")
     model = family.model()
-    ages0, pos0 = sample_poisson_field(family.n, family.nu, rng.child(0))
-    m = ages0.size
-    if m == 0:
-        return ScaledMeasure(np.empty(0), np.empty(0), 1.0 / family.n, t, family.n)
-    keys = np.array([derive_key(np.uint64(rng.key), np.uint64(1)).ravel()[0]], dtype=np.uint64)
-    _, ages, positions, _ = simulate_fields(
-        model,
-        family.n * t,
-        keys,
-        np.zeros(m, dtype=np.int64),
-        -ages0,
-        pos0,
-        particle_cap,
-    )
-    return ScaledMeasure(ages, positions, 1.0 / family.n, t, family.n)
+    for start in range(0, reps, _FIELD_BATCH):
+        root_rep, root_birth, root_pos, keys = [], [], [], []
+        for r in range(start, min(start + _FIELD_BATCH, reps)):
+            s = rng.child(r)
+            ages0, pos0 = sample_poisson_field(family.n, family.nu, s.child(0))
+            root_rep.append(np.full(ages0.size, r - start, dtype=np.int64))
+            root_birth.append(-ages0)
+            root_pos.append(pos0)
+            keys.append(int(derive_key(np.uint64(s.key), np.uint64(1)).ravel()[0]))
+        yield simulate_fields(
+            model,
+            family.n * t,
+            np.asarray(keys, dtype=np.uint64),
+            np.concatenate(root_rep),
+            np.concatenate(root_birth),
+            np.concatenate(root_pos),
+            particle_cap,
+        )
 
 
 def laplace_mc(
@@ -204,46 +198,19 @@ def laplace_mc(
     rng: RandomStream,
     particle_cap: int = DEFAULT_PARTICLE_CAP,
     epsilon: float = DEFAULT_EPSILON,
-    batch: int = 64,
 ) -> Estimate:
-    """-log E[exp(-<f, Y^n_t>)] over `reps` independent fields.
-
-    Fields are simulated in batches; field r uses the substream rng.child(r),
-    so estimates are independent of the batch size.  The stderr is the
-    delta-method transfer of the exp-functional's sampling error.
+    """-log E[exp(-<f, Y^n_t>)] over `reps` independent fields of
+    `scaled_fields`.  The stderr is the delta-method transfer of the
+    exp-functional's sampling error.
     """
-    if t < epsilon:
-        raise ValueError(f"macroscopic time {t} below the cutoff {epsilon}")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    model = family.model()
-    horizon = family.n * t
     weight = 1.0 / family.n
-    vals = np.empty(reps)
-    for start in range(0, reps, batch):
-        stop = min(start + batch, reps)
-        root_rep, root_birth, root_pos, keys = [], [], [], []
-        for r in range(start, stop):
-            s = rng.child(r)
-            ages0, pos0 = sample_poisson_field(family.n, family.nu, s.child(0))
-            root_rep.append(np.full(ages0.size, r - start, dtype=np.int64))
-            root_birth.append(-ages0)
-            root_pos.append(pos0)
-            keys.append(int(derive_key(np.uint64(s.key), np.uint64(1)).ravel()[0]))
-        rep_arr = np.concatenate(root_rep)
-        counts_rep, ages, positions, _ = simulate_fields(
-            model,
-            horizon,
-            np.asarray(keys, dtype=np.uint64),
-            rep_arr,
-            np.concatenate(root_birth),
-            np.concatenate(root_pos),
-            particle_cap,
-        )
-        total = np.zeros(stop - start)
+    vals = []
+    for rep, ages, positions, counts in scaled_fields(family, t, reps, rng, particle_cap, epsilon):
+        total = np.zeros(counts.size)
         if ages.size:
-            np.add.at(total, counts_rep, weight * np.asarray(f(ages, positions), dtype=float))
-        vals[start:stop] = np.exp(-total)
+            np.add.at(total, rep, weight * np.asarray(f(ages, positions), dtype=float))
+        vals.append(np.exp(-total))
+    vals = np.concatenate(vals)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return Estimate(value=float(-math.log(mean)) + 0.0, stderr=se / mean, n=reps)

@@ -37,6 +37,7 @@ from .loglaplace import (
     constant_oracle,
     default_grid,
     integrate_against,
+    parse_test_function,
     semigroup_apply,
     solve_u,
 )
@@ -56,7 +57,14 @@ from .stats import (
     mean_estimate,
     structural_m2_checks,
 )
-from .superprocess import Intensity, ScalingFamily, laplace_mc, near_critical_family, asf_error
+from .superprocess import (
+    Intensity,
+    ScalingFamily,
+    asf_error,
+    laplace_mc,
+    near_critical_family,
+    scaled_fields,
+)
 
 LEVEL = 1e-3
 
@@ -109,14 +117,16 @@ class CriterionResult:
         return all(r.passed for r in self.rows if r.gating)
 
 
-def _row_from_report(name, report, value=math.nan, gating=True, note=""):
+def _row_from_report(name, report, value=math.nan, gating=True, note="", target=None,
+                     stderr=math.nan):
     return CheckRow(
         name=name,
         passed=report.passed,
         value=value,
-        target=report.target,
+        target=report.target if target is None else target,
         statistic=report.statistic,
         threshold=report.threshold,
+        stderr=stderr,
         n=report.n,
         gating=gating,
         note=note,
@@ -141,6 +151,24 @@ def _row_from_interval(name, est: Estimate, target: float, sigma: float = 3.0, e
     )
 
 
+def _row_bound(name, statistic, threshold, n, target=None, strict=True, gating=True, note=""):
+    """statistic < threshold (<= unless strict); the statistic is the value."""
+    passed = statistic < threshold if strict else statistic <= threshold
+    return CheckRow(name, passed, statistic, f"< {threshold:g}" if target is None else target,
+                    statistic, threshold, n=n, gating=gating, note=note)
+
+
+def _row_tolerance(name, value, target, tol, target_text, n, stderr=math.nan):
+    """|value - target| <= tol."""
+    diff = abs(value - target)
+    return CheckRow(name, diff <= tol, value, target_text, diff, tol, stderr=stderr, n=n)
+
+
+def _row_flag(name, ok, target, n):
+    """A yes/no check: value 1/0, statistic 0/1 against threshold 0.5."""
+    return CheckRow(name, ok, 1.0 if ok else 0.0, target, 0.0 if ok else 1.0, 0.5, n=n)
+
+
 # ---------------------------------------------------------------------------
 # shared batches
 # ---------------------------------------------------------------------------
@@ -150,15 +178,12 @@ def _row_from_interval(name, est: Estimate, target: float, sigma: float = 3.0, e
 class _SurvivorStats:
     """Per-run extracts from a conditioned batch at one horizon."""
 
-    horizon: float
     ages: np.ndarray          # age of the uniformly sampled survivor
     positions: np.ndarray     # its position
     generations: np.ndarray   # its ancestor count M_t
     anc_mean_life: np.ndarray # mean ancestral lifetime (runs with M_t > 0)
     z1: np.ndarray            # sum of ancestral displacements / sqrt(M_t)
     taus: np.ndarray          # tau_1/t for a sampled pair (runs with N_t >= 2)
-    n_t: np.ndarray
-    snapshots: list
 
 
 class Harness:
@@ -182,7 +207,7 @@ class Harness:
         if key in self._survivor_cache:
             return self._survivor_cache[key]
         samp = self._aux_stream(tag)
-        ages, positions, gens, anc, z1, taus, n_t, snaps = [], [], [], [], [], [], [], []
+        ages, positions, gens, anc, z1, taus = [], [], [], [], [], []
         for i, run in enumerate(
             iter_runs(self.model, horizon, self._runs_stream(tag), n_runs, conditioned=True)
         ):
@@ -200,18 +225,13 @@ class Harness:
             if run.snapshot.n_alive >= 2:
                 pair = sample_survivors(run, 2, s.child(1))
                 taus.append(float(coalescence_times(run, pair).tau[0]) / horizon)
-            n_t.append(run.snapshot.n_alive)
-            snaps.append(run.snapshot)
         out = _SurvivorStats(
-            horizon=horizon,
             ages=np.asarray(ages),
             positions=np.asarray(positions),
             generations=np.asarray(gens, dtype=float),
             anc_mean_life=np.asarray(anc),
             z1=np.asarray(z1),
             taus=np.asarray(taus),
-            n_t=np.asarray(n_t, dtype=np.int64),
-            snapshots=snaps,
         )
         self._survivor_cache[key] = out
         return out
@@ -261,15 +281,8 @@ def survival_decay(h: Harness, reps: int = 1_000_000) -> CriterionResult:
             exact,
             sigma=3.0,
         ),
-        CheckRow(
-            name="t * P(A_t) near limit 2*mu/sigma^2",
-            passed=abs(point.t_p_hat - point.target_limit) <= 0.1 * point.target_limit,
-            value=point.t_p_hat,
-            target=f"{point.target_limit} within 10%",
-            statistic=abs(point.t_p_hat - point.target_limit),
-            threshold=0.1 * point.target_limit,
-            n=reps,
-        ),
+        _row_tolerance("t * P(A_t) near limit 2*mu/sigma^2", point.t_p_hat, point.target_limit,
+                       0.1 * point.target_limit, f"{point.target_limit} within 10%", reps),
     ]
     return CriterionResult("survival-decay", "survival probability decay", rows)
 
@@ -334,29 +347,14 @@ def generation_count(h: Harness, n_full: int = 10_000) -> CriterionResult:
     frac = float(np.mean(dev > 0.1 * t))
     # sd(M_t/t) ~ 1/sqrt(t) = 0.1 at t=100, so the deviation probability at
     # eps=0.1 is 0.307 exactly there and cannot sit below 0.05 at this horizon.
-    row_dev = CheckRow(
-        name="P(|M_t/t - 1| > 0.1) < 0.05 at t=100",
-        passed=frac < 0.05,
-        value=frac,
-        target="< 0.05",
-        statistic=frac,
-        threshold=0.05,
-        n=n_full,
+    row_dev = _row_bound(
+        "P(|M_t/t - 1| > 0.1) < 0.05 at t=100", frac, 0.05, n_full,
         note="CLT scale: sd(M_t/t) ~ 1/sqrt(t) = 0.1, so this probability is 0.307 "
         "exactly at t=100 for any correct simulator (tending to 0 as t grows); "
         "companion row uses eps=0.25",
     )
-    frac25 = float(np.mean(dev > 0.25 * t))
-    row_supp = CheckRow(
-        name="companion: P(|M_t/t - 1| > 0.25) < 0.05 at t=100",
-        passed=frac25 < 0.05,
-        value=frac25,
-        target="< 0.05",
-        statistic=frac25,
-        threshold=0.05,
-        n=n_full,
-        gating=False,
-    )
+    row_supp = _row_bound("companion: P(|M_t/t - 1| > 0.25) < 0.05 at t=100",
+                          float(np.mean(dev > 0.25 * t)), 0.05, n_full, gating=False)
     return CriterionResult("generation-count", "generation count law of large numbers", [row_mean, row_dev, row_supp])
 
 
@@ -403,18 +401,10 @@ def ancestral_lln(h: Harness, n_full: int = 10_000) -> CriterionResult:
     t = 100.0
     batch = h.conditioned_batch(t, n_full, _TAG_T100)
     est = mean_estimate(batch.anc_mean_life)
-    diff = abs(est.value - h.model.mu)
     rows = [
-        CheckRow(
-            name="mean ancestral lifetime within 0.02 of mu at t=100",
-            passed=diff <= 0.02,
-            value=est.value,
-            target=f"{h.model.mu} within 0.02 (size-biased would be 2.0)",
-            statistic=diff,
-            threshold=0.02,
-            stderr=est.stderr,
-            n=est.n,
-        )
+        _row_tolerance("mean ancestral lifetime within 0.02 of mu at t=100", est.value, h.model.mu,
+                       0.02, f"{h.model.mu} within 0.02 (size-biased would be 2.0)", est.n,
+                       stderr=est.stderr)
     ]
     return CriterionResult("ancestral-lln", "ancestral lifetime law of large numbers", rows)
 
@@ -483,27 +473,12 @@ def coalescent_stability(h: Harness, n_pinned: int = 5000) -> CriterionResult:
     # binary reference model is structurally tie-free up to k=3 as well
     # (sibling split nodes need two incomparable splits, impossible below k=4)
     tie_fraction = 0.0
-    row_ties = CheckRow(
-        name="tie fraction among adjacent split times (k=2)",
-        passed=tie_fraction < 1e-6,
-        value=tie_fraction,
-        target="< 1e-6",
-        statistic=tie_fraction,
-        threshold=1e-6,
-        n=tau50.size + tau100.size,
-    )
-    lo_mass = float(np.mean(b100.taus < 0.01))
-    hi_mass = float(np.mean(b100.taus > 0.99))
-    row_lo = CheckRow(
-        name="tau_1/t mass in [0, 0.01] at t=100",
-        passed=lo_mass < 0.05,
-        value=lo_mass, target="< 0.05", statistic=lo_mass, threshold=0.05, n=b100.taus.size,
-    )
-    row_hi = CheckRow(
-        name="tau_1/t mass in [0.99, 1] at t=100",
-        passed=hi_mass < 0.05,
-        value=hi_mass, target="< 0.05", statistic=hi_mass, threshold=0.05, n=b100.taus.size,
-    )
+    row_ties = _row_bound("tie fraction among adjacent split times (k=2)", tie_fraction, 1e-6,
+                          tau50.size + tau100.size, target="< 1e-6")
+    row_lo = _row_bound("tau_1/t mass in [0, 0.01] at t=100", float(np.mean(b100.taus < 0.01)),
+                        0.05, b100.taus.size)
+    row_hi = _row_bound("tau_1/t mass in [0.99, 1] at t=100", float(np.mean(b100.taus > 0.99)),
+                        0.05, b100.taus.size)
     return CriterionResult(
         "coalescent-stability",
         "coalescence-time law stability",
@@ -517,9 +492,7 @@ def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
     below the 3-sigma band."""
     t = 400.0
     model = h.model
-    phi_age = lambda a, x: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float))
-    phi_ind = lambda a, x: (np.asarray(x, dtype=float) <= 0.0).astype(float) * np.ones_like(np.asarray(a, dtype=float))
-    phi_one = lambda a, x: np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
+    phi_age, phi_ind, phi_one = map(parse_test_function, ("age-exp", "indicator", "const:1"))
 
     snaps: list = []
 
@@ -550,16 +523,9 @@ def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
     ]
     for label, rep in zip(("age-only phi exp(-a)", "position indicator phi"), m2_reports):
         rows.append(
-            CheckRow(
-                name=f"pair-moment decoupling, {label}",
-                passed=rep.report.passed,
-                value=rep.direct.value,
-                target=f"plug-in {rep.plugin.value:.4f} within 3 combined stderr",
-                statistic=rep.report.statistic,
-                threshold=rep.report.threshold,
-                stderr=rep.direct.stderr,
-                n=rep.report.n,
-            )
+            _row_from_report(f"pair-moment decoupling, {label}", rep.report, value=rep.direct.value,
+                             target=f"plug-in {rep.plugin.value:.4f} within 3 combined stderr",
+                             stderr=rep.direct.stderr)
         )
     # age-only plug-in side has the closed form (E exp(-U))^2 = 0.25
     rows.append(
@@ -577,7 +543,7 @@ def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
 def total_mass_law(h: Harness, reps: int = 1000) -> CriterionResult:
     """Constant test function: the total-mass log-Laplace value c/(1+lam c t)."""
     fam = ScalingFamily(n=200, lam=1.0)
-    one = lambda a, x: np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
+    one = parse_test_function("const:1")
     est = laplace_mc(fam, one, 1.0, reps, h._runs_stream(_TAG_SUPER_CONST))
     target = constant_oracle(1.0, 1.0, 1.0) * fam.nu.total_mass
     rows = [
@@ -592,24 +558,12 @@ def total_mass_law(h: Harness, reps: int = 1000) -> CriterionResult:
     grid = default_grid(1.0, fam.psi_unscaled(), 1.0)
     sol = solve_u(one, 1.0, fam.psi_unscaled(), grid)
     solver_val = float(sol.final()[grid.nx // 2])
-    rows.append(
-        CheckRow(
-            name="solver reproduces c/(1+lam c t) to 1e-4",
-            passed=abs(solver_val - target) <= 1e-4,
-            value=solver_val,
-            target=f"{target} within 1e-4",
-            statistic=abs(solver_val - target),
-            threshold=1e-4,
-            n=grid.n_steps,
-        )
-    )
-    # mass criticality: E <Y^n_t, 1> = |nu|
-    meas_mass = []
-    from .superprocess import run_scaled
-
-    for r in range(200):
-        meas_mass.append(run_scaled(ScalingFamily(n=100), 1.0, h._runs_stream(_TAG_SUPER_MASS).child(r)).total_mass)
-    est_mass = mean_estimate(meas_mass)
+    rows.append(_row_tolerance("solver reproduces c/(1+lam c t) to 1e-4", solver_val, target, 1e-4,
+                               f"{target} within 1e-4", grid.n_steps))
+    # mass criticality: E <Y^n_t, 1> = |nu|, field r keyed by the stream's child(r)
+    fam100 = ScalingFamily(n=100)
+    fields = scaled_fields(fam100, 1.0, 200, h._runs_stream(_TAG_SUPER_MASS))
+    est_mass = mean_estimate(np.concatenate([counts for *_, counts in fields]) * (1.0 / fam100.n))
     rows.append(
         _row_from_interval(
             "mean total mass of Y^n_1 at n=100 (200 fields)",
@@ -641,7 +595,7 @@ def solver_agreement(h: Harness, reps_small: int = 400, reps_large: int = 3200) 
     """Particle log-Laplace functionals against the deterministic solver for
     f(a,x) = exp(-x^2), with the Monte Carlo confidence band tightening in n."""
     t = 0.5
-    gauss = lambda a, x: np.exp(-np.asarray(x, dtype=float) ** 2) * np.ones_like(np.asarray(a, dtype=float))
+    gauss = parse_test_function("gauss")
     nu = Intensity()
     fam50 = ScalingFamily(n=50, lam=1.0, nu=nu)
     grid = default_grid(1.0, fam50.psi_unscaled(), t)
@@ -673,15 +627,9 @@ def solver_agreement(h: Harness, reps_small: int = 400, reps_large: int = 3200) 
             n=reps_small + reps_large,
             note=f"|diff| n=50: {abs(est50.value - target):.5f}, n=400: {abs(est400.value - target):.5f}",
         ),
-        CheckRow(
-            name="solver self-convergence under dt/2, 2nx refinement",
-            passed=self_conv <= 1e-3 * max(abs(target), 1e-12),
-            value=self_conv,
-            target="< 1e-3 relative",
-            statistic=self_conv,
-            threshold=1e-3 * max(abs(target), 1e-12),
-            n=grid.n_steps,
-        ),
+        _row_bound("solver self-convergence under dt/2, 2nx refinement", self_conv,
+                   1e-3 * max(abs(target), 1e-12), grid.n_steps, target="< 1e-3 relative",
+                   strict=False),
     ]
     return CriterionResult("solver-agreement", "particle system vs solver", rows)
 
@@ -698,8 +646,8 @@ def solver_suite(h: Harness, reps=None) -> CriterionResult:
     comp = semigroup_apply(semigroup_apply(g, 0.3, lam, psi, grid), 0.2, lam, psi, grid)
     direct = semigroup_apply(g, 0.5, lam, psi, grid)
     err = float(np.max(np.abs(comp - direct)))
-    rows.append(CheckRow("semigroup composition on a Gaussian vector", err <= 1e-6, err,
-                         "< 1e-6", err, 1e-6, n=grid.nx))
+    rows.append(_row_bound("semigroup composition on a Gaussian vector", err, 1e-6, grid.nx,
+                           target="< 1e-6", strict=False))
 
     v0 = 1.0
     out = semigroup_apply(np.exp(-(xs**2) / (2 * v0)) / math.sqrt(2 * math.pi * v0), 0.5, lam, psi, grid)
@@ -707,10 +655,10 @@ def solver_suite(h: Harness, reps=None) -> CriterionResult:
     tgt = np.exp(-(xs**2) / (2 * v1)) / math.sqrt(2 * math.pi * v1)
     mid = np.abs(xs) < 3.0
     rel = float(np.max(np.abs(out[mid] - tgt[mid]) / tgt[mid]))
-    rows.append(CheckRow("Gaussian convolution closed form (mid-grid relative)", rel <= 1e-6,
-                         rel, "< 1e-6", rel, 1e-6, n=int(mid.sum())))
+    rows.append(_row_bound("Gaussian convolution closed form (mid-grid relative)", rel, 1e-6,
+                           int(mid.sum()), target="< 1e-6", strict=False))
 
-    gauss = lambda a, x: np.exp(-np.asarray(x, dtype=float) ** 2) * np.ones_like(np.asarray(a, dtype=float))
+    gauss = parse_test_function("gauss")
     sol = solve_u(gauss, lam, psi, grid)
     u0_max = float(sol.values[0].max())
     pos_ok = bool(np.all(sol.values >= 0.0) and np.all(sol.values <= u0_max * (1 + 1e-12) + 1e-15))
@@ -732,15 +680,15 @@ def solver_suite(h: Harness, reps=None) -> CriterionResult:
         if not np.all(uhi >= ulo - 1e-10):
             mono_ok = False
             break
-    rows.append(CheckRow("monotonicity in the test function (10 random pairs)", mono_ok,
-                         1.0 if mono_ok else 0.0, "f <= g implies u_f <= u_g", 0.0, 1.0, n=10))
+    rows.append(_row_flag("monotonicity in the test function (10 random pairs)", mono_ok,
+                          "f <= g implies u_f <= u_g", 10))
 
     nu = Intensity()
     base = integrate_against(solve_u(gauss, lam, psi, grid).final(), grid, nu)
     fine = integrate_against(solve_u(gauss, lam, psi, grid.refined()).final(), grid.refined(), nu)
     rel = abs(fine - base) / max(abs(base), 1e-300)
-    rows.append(CheckRow("dt/2, 2nx self-convergence of <u_T, nu>", rel <= 1e-3, rel,
-                         "< 1e-3 relative", rel, 1e-3, n=grid.n_steps))
+    rows.append(_row_bound("dt/2, 2nx self-convergence of <u_T, nu>", rel, 1e-3, grid.n_steps,
+                           target="< 1e-3 relative", strict=False))
     return CriterionResult("solver-suite", "deterministic solver suite", rows)
 
 
@@ -752,8 +700,7 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
     c1 = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps)
     c_chunk = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps, chunk_size=777)
     same = bool(np.array_equal(c1, c_chunk))
-    rows.append(CheckRow("identical results across chunk sizes", same,
-                         1.0 if same else 0.0, "byte-identical", 0.0 if same else 1.0, 0.5, n=reps))
+    rows.append(_row_flag("identical results across chunk sizes", same, "byte-identical", reps))
 
     r1 = run_once(model, 15.0, stream(h.seed, 3, 0))
     r2 = run_once(model, 15.0, stream(h.seed, 3, 0))
@@ -762,8 +709,8 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
         and np.array_equal(r1.arena.displacement, r2.arena.displacement)
         and run_to_jsonl(r1) == run_to_jsonl(r2)
     )
-    rows.append(CheckRow("repeated run with the same seed path is identical", ident,
-                         1.0 if ident else 0.0, "byte-identical", 0.0 if ident else 1.0, 0.5, n=1))
+    rows.append(_row_flag("repeated run with the same seed path is identical", ident,
+                          "byte-identical", 1))
 
     ok_struct = True
     mean_rows = []
@@ -785,8 +732,7 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
         ):
             ok_struct = False
             break
-    rows.append(CheckRow("arena structural invariants on 200 runs", ok_struct,
-                         1.0 if ok_struct else 0.0, "exact", 0.0 if ok_struct else 1.0, 0.5, n=200))
+    rows.append(_row_flag("arena structural invariants on 200 runs", ok_struct, "exact", 200))
     rows.extend(mean_rows)
 
     n_t, attempts = h.conditioned_population(10.0, 10_000, _TAG_T10)
@@ -795,11 +741,9 @@ def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
     counts = survival_counts(model, 10.0, h._runs_stream(_TAG_DETERMINISM).child(7), 100_000)
     p_freq = float((counts > 0).mean())
     se_freq = math.sqrt(p_freq * (1 - p_freq) / counts.size)
-    diff = abs(p_rej - p_freq)
-    bound = 4.0 * math.hypot(se_rej, se_freq)
-    rows.append(CheckRow("rejection estimator of P(A_t) agrees with frequency estimator",
-                         diff <= bound, p_rej, f"{p_freq:.5f} within joint CI",
-                         diff, bound, n=attempts.size))
+    rows.append(_row_tolerance("rejection estimator of P(A_t) agrees with frequency estimator",
+                               p_rej, p_freq, 4.0 * math.hypot(se_rej, se_freq),
+                               f"{p_freq:.5f} within joint CI", attempts.size))
     return CriterionResult("determinism", "determinism and structural invariants", rows)
 
 
@@ -828,17 +772,17 @@ EXPECTED_RED = {
 }
 
 
-def run_criteria(seed: int, names=None, reps=None):
-    """Run selected criteria (all by default); returns list[CriterionResult].
+def run_criteria(h: Harness, names=None, reps=None):
+    """Run selected criteria (all by default) on the harness's model and seed;
+    returns list[CriterionResult].
 
     `reps` overrides each runner's primary sample size (every runner's first
-    knob); leave unset for the calibrated defaults."""
-    h = Harness(seed)
+    knob); leave unset for the calibrated defaults.  Unknown names raise
+    KeyError and reps below 1 RepsUnavailable, before anything is simulated."""
     selected = list(CRITERIA) if not names else list(names)
-    out = []
     for name in selected:
         if name not in CRITERIA:
             raise KeyError(f"unknown criterion {name!r}; choose from {sorted(CRITERIA)}")
-        runner = CRITERIA[name]
-        out.append(runner(h) if reps is None else runner(h, reps))
-    return out
+    if reps is not None and reps < 1:
+        raise RepsUnavailable(f"reps={reps}: a sample size must be at least 1")
+    return [CRITERIA[name](h) if reps is None else CRITERIA[name](h, reps) for name in selected]

@@ -11,6 +11,7 @@ import pytest
 import branchlab
 from branchlab import verify
 from branchlab.cli import dispatch
+from branchlab.stats import TooFewSamples
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -79,6 +80,20 @@ def test_verify_reps_beyond_batch_exits_2_without_simulating(monkeypatch, capsys
     monkeypatch.setattr(verify, "iter_runs", no_simulation)
     assert dispatch(["verify", "coalescent-stability", "--seed", "1", "--reps", "6000"]) == 2
     assert "n=6000" in capsys.readouterr().err
+
+
+def test_verify_criterion_error_keeps_its_traceback(monkeypatch):
+    def too_few(h, reps=None):
+        raise TooFewSamples("need >= 1000 pairs, got 3")
+
+    monkeypatch.setitem(verify.CRITERIA, "age-law", too_few)
+    with pytest.raises(TooFewSamples):
+        dispatch(["verify", "age-law", "--seed", "1"])
+
+
+def test_verify_reps_below_one_exits_2(capsys):
+    assert dispatch(["verify", "survival-decay", "--seed", "1", "--reps", "0"]) == 2
+    assert "reps=0" in capsys.readouterr().err
 
 
 def test_coalescent_stability_names_and_bounds_its_sample():

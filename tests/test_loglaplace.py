@@ -11,14 +11,16 @@ from branchlab.loglaplace import (
     constant_oracle,
     default_grid,
     integrate_against,
+    parse_test_function,
     semigroup_apply,
     solution_csv,
     solve_u,
 )
+from branchlab.model import ConfigError
 from branchlab.superprocess import Intensity
 
-ONE = lambda a, x: np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
-GAUSS = lambda a, x: np.exp(-np.asarray(x, dtype=float) ** 2) * np.ones_like(np.asarray(a, dtype=float))
+ONE = parse_test_function("const:1")
+GAUSS = parse_test_function("gauss")
 
 
 def test_grid_validation():
@@ -187,3 +189,17 @@ def test_solution_csv_header_and_size():
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + grid.nx * (grid.n_steps + 1)
+
+
+def test_named_test_functions():
+    a = np.array([0.0, 1.0, 2.0])
+    x = np.array([[-1.0], [0.0], [0.5]])
+    const = parse_test_function("const:2.5")(a, x)
+    assert const.shape == (3, 3) and np.all(const == 2.5)
+    assert np.array_equal(parse_test_function("gauss")(a, x), np.exp(-x**2) * np.ones((1, 3)))
+    assert np.array_equal(parse_test_function("age-exp")(a, x), np.exp(-a) * np.ones((3, 1)))
+    ind = parse_test_function("indicator")(a, x)
+    assert ind.dtype == float and ind.tolist() == [[1.0] * 3, [1.0] * 3, [0.0] * 3]
+    for bad in ("const:-1", "nope"):
+        with pytest.raises(ConfigError):
+            parse_test_function(bad)

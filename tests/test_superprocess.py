@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from branchlab.engine import CapExceeded
+from branchlab.loglaplace import parse_test_function
 from branchlab.model import OffspringLaw
+from branchlab import superprocess
 from branchlab.rng import stream
 from branchlab.superprocess import (
     InfiniteMass,
@@ -14,11 +16,11 @@ from branchlab.superprocess import (
     asf_error,
     laplace_mc,
     near_critical_family,
-    run_scaled,
     sample_poisson_field,
+    scaled_fields,
 )
 
-ONE = lambda a, x: np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
+ONE = parse_test_function("const:1")
 
 
 # --- offspring family ----------------------------------------------------------
@@ -100,29 +102,53 @@ def test_poisson_field_marginals():
 # --- scaled runs -----------------------------------------------------------------
 
 
-def test_run_scaled_shapes_and_weight():
-    meas = run_scaled(ScalingFamily(n=20), 1.0, stream(5))
-    assert meas.weight == 1.0 / 20
-    assert meas.n == 20
-    assert meas.time == 1.0
-    assert meas.ages.shape == meas.positions.shape
-    assert meas.total_mass == meas.ages.size / 20
+def _fields(family, reps, seed, t=1.0):
+    """(rep, ages, positions, counts) over all batches, rep counted from field 0."""
+    batches, start = [], 0
+    for rep, ages, positions, counts in scaled_fields(family, t, reps, stream(seed)):
+        batches.append((rep + start, ages, positions, counts))
+        start += counts.size
+    return tuple(np.concatenate(v) for v in zip(*batches))
 
 
-def test_run_scaled_epsilon_cutoff():
+def test_scaled_fields_shapes_and_batches():
+    batches = list(scaled_fields(ScalingFamily(n=20), 1.0, 70, stream(5)))
+    assert [b[3].size for b in batches] == [64, 6]
+    for rep, ages, positions, counts in batches:
+        assert ages.shape == positions.shape == rep.shape
+        assert np.all(ages >= 0.0)
+        assert np.array_equal(np.bincount(rep, minlength=counts.size), counts)
+
+
+def test_scaled_fields_epsilon_cutoff():
     with pytest.raises(ValueError):
-        run_scaled(ScalingFamily(n=20), 0.001, stream(5))
+        next(scaled_fields(ScalingFamily(n=20), 0.001, 5, stream(5)))
 
 
-def test_run_scaled_deterministic():
-    m1 = run_scaled(ScalingFamily(n=20), 1.0, stream(6))
-    m2 = run_scaled(ScalingFamily(n=20), 1.0, stream(6))
-    assert np.array_equal(m1.positions, m2.positions)
+def test_scaled_fields_deterministic():
+    f1 = _fields(ScalingFamily(n=20), 10, 6)
+    f2 = _fields(ScalingFamily(n=20), 10, 6)
+    for a, b in zip(f1, f2):
+        assert np.array_equal(a, b)
+
+
+def test_field_in_batch_equals_field_alone(monkeypatch):
+    fam = ScalingFamily(n=20)
+    rep, ages, positions, counts = _fields(fam, 12, 14)
+    monkeypatch.setattr(superprocess, "_FIELD_BATCH", 1)
+    alone = list(scaled_fields(fam, 1.0, 12, stream(14)))
+    assert len(alone) == 12
+    assert counts.sum() > 12
+    for r, (rep_r, ages_r, positions_r, counts_r) in enumerate(alone):
+        assert np.array_equal(rep_r, np.zeros(counts[r], dtype=np.int64))
+        assert np.array_equal(ages_r, ages[rep == r])
+        assert np.array_equal(positions_r, positions[rep == r])
+        assert counts_r.tolist() == [counts[r]]
 
 
 def test_mass_criticality():
-    masses = [run_scaled(ScalingFamily(n=50), 1.0, stream(7, i)).total_mass for i in range(300)]
-    masses = np.asarray(masses)
+    # total mass <Y^n_1, 1> = (alive count) / n has mean |nu| = 1
+    masses = _fields(ScalingFamily(n=50), 300, 7)[3] / 50
     se = masses.std(ddof=1) / math.sqrt(masses.size)
     assert abs(masses.mean() - 1.0) < 4 * se
 
@@ -148,16 +174,16 @@ def test_laplace_constant_oracle():
     assert abs(est.value - 0.5) < 4 * est.stderr + 0.01
 
 
-def test_laplace_batch_invariance():
-    e1 = laplace_mc(ScalingFamily(n=20), ONE, 1.0, 60, stream(10), batch=7)
-    e2 = laplace_mc(ScalingFamily(n=20), ONE, 1.0, 60, stream(10), batch=64)
-    assert e1.value == e2.value
+def test_laplace_batch_invariance(monkeypatch):
+    e1 = laplace_mc(ScalingFamily(n=20), ONE, 1.0, 60, stream(10))
+    monkeypatch.setattr(superprocess, "_FIELD_BATCH", 7)
+    e2 = laplace_mc(ScalingFamily(n=20), ONE, 1.0, 60, stream(10))
+    assert (e1.value, e1.stderr) == (e2.value, e2.stderr)
 
 
 def test_laplace_age_functional_oracle():
     # f = exp(-a): age-average c0 = lam/(1+lam) = 1/2, then c0/(1 + c0 t)
-    f = lambda a, x: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float))
-    est = laplace_mc(ScalingFamily(n=100), f, 1.0, 400, stream(11))
+    est = laplace_mc(ScalingFamily(n=100), parse_test_function("age-exp"), 1.0, 400, stream(11))
     target = 0.5 / 1.5
     assert abs(est.value - target) < 4 * est.stderr + 0.01
 
