@@ -4,7 +4,7 @@ loglaplace.
 All randomness descends from the mandatory --seed; rerunning a command with
 identical arguments produces byte-identical machine output.  Exit codes:
 0 all selected checks passed, 1 a statistical check failed, 2 usage or
-configuration error; an error raised inside a check keeps its traceback.
+configuration error; any other error keeps its traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import arena_to_csv, iter_runs, run_to_jsonl
+from .engine import DEFAULT_PARTICLE_CAP, arena_to_csv, iter_runs, run_to_jsonl
 from .genealogy import coalescence_times, coalescent_csv_rows, sample_survivors
 from .loglaplace import default_grid, integrate_against, parse_test_function, solution_csv, solve_u
 from .model import ConfigError, ModelError, binary_exponential_model, parse_model_config, validate_model
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--conditioned", action="store_true", help="condition on survival by rejection")
     sim.add_argument("--model", help="model config file (key = value grammar)")
-    sim.add_argument("--cap", type=int, default=10_000_000, help="particle cap per run")
+    sim.add_argument("--cap", type=int, default=DEFAULT_PARTICLE_CAP, help="particle cap per run")
     sim.add_argument("--out", help="output path (default stdout)")
     sim.add_argument("--arena-csv", help="also dump the first run's arena as CSV")
     sim.set_defaults(fn=_cmd_simulate)
@@ -229,7 +229,7 @@ def dispatch(argv=None) -> int:
         return _cmd_verify(args)  # a criterion's own errors keep their traceback
     try:
         return args.fn(args)
-    except (ConfigError, ModelError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConfigError, ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -24,6 +24,8 @@ from .rng import RandomStream, _derive_fast, derive_key, slot_hash, slot_uniform
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
 _ATTEMPT_BLOCK = 16  # conditioned attempts per replicate and round
+_RUN_BLOCK = 512  # replicates per iter_runs block
+_CONDITIONED_CHUNK = 4096  # replicates per conditioned_counts chunk
 
 _H_LIFETIME = slot_hash(0)
 _H_OFFSPRING = slot_hash(1)
@@ -141,7 +143,7 @@ def _batch_simulate(
     n_rep = run_keys.size
     law = model.lifetime
     motion = model.motion
-    cum = model.offspring_cumulative()
+    cum = model.offspring.cumulative()
     horizon = float(horizon)
 
     rep = np.asarray(root_rep, dtype=np.int64)
@@ -361,7 +363,7 @@ def _attempt_keys(rep_keys: np.ndarray, base: int, width: int) -> np.ndarray:
     return _derive_fast(np.repeat(rep_keys, width), attempts)
 
 
-def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, mode):
+def _settle(model, horizon, rng, start, stop, particle_cap, conditioned, mode):
     """Rejection loop over replicates start..stop-1 of `rng`, in `mode`.
 
     Attempt a of replicate r is keyed rng.child(r).child(a).  Each round
@@ -369,17 +371,18 @@ def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, condit
     (replicates settled, their winning batch row, their attempt counts, the
     batch output).  The first surviving attempt wins, which reproduces
     sequential rejection exactly because attempts are keyed independently.
-    An unconditioned replicate settles on attempt 0.
+    An unconditioned replicate settles on attempt 0.  Conditioned replicates
+    get `DEFAULT_MAX_ATTEMPTS` attempts each.
     """
     rep_keys = _replicate_keys(rng, start, stop)
     pending = np.arange(start, stop, dtype=np.int64)
     base = 0
     while pending.size:
-        if base >= max_attempts:
+        if base >= DEFAULT_MAX_ATTEMPTS:
             raise MaxAttemptsExceeded(
-                f"replicates {pending[:5]}... exceeded {max_attempts} attempts"
+                f"replicates {pending[:5]}... exceeded {DEFAULT_MAX_ATTEMPTS} attempts"
             )
-        width = min(_ATTEMPT_BLOCK, max_attempts - base) if conditioned else 1
+        width = min(_ATTEMPT_BLOCK, DEFAULT_MAX_ATTEMPTS - base) if conditioned else 1
         keys = _attempt_keys(rep_keys[pending - start], base, width)
         rep, birth, pos = _single_root_arrays(pending.size * width, model)
         out = _batch_simulate(
@@ -396,13 +399,13 @@ def _settle(model, horizon, rng, start, stop, particle_cap, max_attempts, condit
         base += width
 
 
-def _counts(model, horizon, rng, reps, particle_cap, max_attempts, chunk_size, conditioned):
+def _counts(model, horizon, rng, reps, chunk_size, conditioned):
     n_out = np.empty(reps, dtype=np.int64)
     att_out = np.empty(reps, dtype=np.int64) if conditioned else None
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
         for done, rows, attempts, counts in _settle(
-            model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "counts"
+            model, horizon, rng, start, stop, DEFAULT_PARTICLE_CAP, conditioned, "counts"
         ):
             n_out[done] = counts[rows]
             if conditioned:
@@ -415,7 +418,6 @@ def survival_counts(
     horizon: float,
     rng: RandomStream,
     reps: int,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
     chunk_size: int = 8192,
 ) -> np.ndarray:
     """N_t for `reps` unconditioned replicates (counts only, no genealogy).
@@ -424,20 +426,12 @@ def survival_counts(
     attempt of the conditioned driver, so output does not depend on
     chunk_size.
     """
-    return _counts(model, horizon, rng, reps, particle_cap, 1, chunk_size, False)[0]
+    return _counts(model, horizon, rng, reps, chunk_size, False)[0]
 
 
-def conditioned_counts(
-    model: ValidatedModel,
-    horizon: float,
-    rng: RandomStream,
-    reps: int,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    chunk_size: int = 4096,
-):
+def conditioned_counts(model: ValidatedModel, horizon: float, rng: RandomStream, reps: int):
     """(N_t, attempts) for `reps` conditioned replicates, counts only."""
-    return _counts(model, horizon, rng, reps, particle_cap, max_attempts, chunk_size, True)
+    return _counts(model, horizon, rng, reps, _CONDITIONED_CHUNK, True)
 
 
 def iter_runs(
@@ -447,12 +441,10 @@ def iter_runs(
     reps: int,
     conditioned: bool = False,
     particle_cap: int = DEFAULT_PARTICLE_CAP,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    block_size: int = 512,
 ) -> Iterator[RunRecord]:
     """Yield full RunRecords for replicates 0..reps-1 in replicate order.
 
-    Simulates blocks of replicates at once.  The runs kept from a round
+    Simulates `_RUN_BLOCK` replicates at once.  The runs kept from a round
     share one gather of exactly their rows, and the round's batch (rejected
     attempts included) is freed before the next round is simulated: memory
     is bounded by one block's kept arenas plus one round's batch.  An
@@ -460,11 +452,11 @@ def iter_runs(
     driver, so the two agree run for run, and a conditioned run matches
     `run_conditioned` exactly.
     """
-    for start in range(0, reps, block_size):
-        stop = min(start + block_size, reps)
+    for start in range(0, reps, _RUN_BLOCK):
+        stop = min(start + _RUN_BLOCK, reps)
         results: dict[int, RunRecord] = {}
         for done, rows, attempts, batch in _settle(
-            model, horizon, rng, start, stop, particle_cap, max_attempts, conditioned, "arena"
+            model, horizon, rng, start, stop, particle_cap, conditioned, "arena"
         ):
             done = done.tolist()
             paths = [rng.path + (r,) for r in done]
@@ -482,7 +474,6 @@ def simulate_fields(
     root_rep: np.ndarray,
     root_birth: np.ndarray,
     root_position: np.ndarray,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
 ):
     """Multi-root batch simulation keeping the alive rows only.
 
@@ -490,16 +481,9 @@ def simulate_fields(
     (rep, ages, positions, counts): one row per particle alive at the
     horizon, plus the alive count per replicate.
     """
-    return _batch_simulate(
-        model,
-        horizon,
-        np.asarray(run_keys, dtype=np.uint64),
-        root_rep,
-        root_birth,
-        root_position,
-        particle_cap,
-        "snapshot",
-    )
+    keys = np.asarray(run_keys, dtype=np.uint64)
+    return _batch_simulate(model, horizon, keys, root_rep, root_birth, root_position,
+                           DEFAULT_PARTICLE_CAP, "snapshot")
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from scipy.special import roots_laguerre
 from .model import ConfigError
 
 
-class GridTooCoarse(ValueError):
+class GridTooCoarse(ConfigError):
     pass
 
 
-class StepTooLarge(ValueError):
+class StepTooLarge(ConfigError):
     pass
 
 
@@ -44,14 +44,14 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
-            raise ValueError("need x_lo < x_hi")
+            raise ConfigError("need x_lo < x_hi")
         if self.nx < 16:
-            raise ValueError("need nx >= 16")
+            raise ConfigError("need nx >= 16")
         if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+            raise ConfigError("dt and T must be positive")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-12 * max(1.0, self.T):
-            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
+            raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -133,6 +133,8 @@ def solve_u(
     the fastest decay rate lam * u of the quadratic term (the maximum
     principle keeps ||u_t|| <= ||u_0||).
     """
+    if lam < 0 or psi < 0:
+        raise ConfigError("lam and psi must be nonnegative")
     u0 = age_average(f, lam if lam > 0 else 1.0, grid)
     if np.any(u0 < 0):
         raise ValueError("test function must be nonnegative")
@@ -184,7 +186,10 @@ def parse_test_function(name: str) -> Callable:
     """const:<c> (c >= 0), gauss = exp(-x^2), age-exp = exp(-a) or
     indicator = 1{x <= 0}, as f(age, position)."""
     if name.startswith("const:"):
-        c = float(name.split(":", 1)[1])
+        try:
+            c = float(name.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad constant in test function {name!r}") from None
         if c < 0:
             raise ConfigError("const test function must be nonnegative")
         return lambda a, x: c * _ones(a, x)
@@ -200,8 +205,6 @@ def constant_oracle(c: float, lam: float, t: float) -> float:
 
 def integrate_against(values_row: np.ndarray, grid: GridSpec, nu) -> float:
     """<u, nu> for the product intensity (age marginal integrates out)."""
-    if nu.spatial == "point":
-        return float(nu.total_mass * np.interp(0.0, grid.xs, values_row))
     pdf = nu.spatial_pdf(grid.xs)
     return float(nu.total_mass * np.trapezoid(values_row * pdf, grid.xs))
 

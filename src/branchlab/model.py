@@ -296,37 +296,17 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
-    mu: float
-    sigma2: float
-    psi: float
-
-
-@dataclass(frozen=True)
 class ValidatedModel:
-    """A ModelSpec that passed validation, carrying its derived constants."""
+    """A ModelSpec that passed validation, with its derived constants."""
 
     lifetime: LifetimeLaw
     offspring: OffspringLaw
     motion: MotionLaw
     initial_age: float
     initial_position: float
-    constants: DerivedConstants
-
-    @property
-    def mu(self) -> float:
-        return self.constants.mu
-
-    @property
-    def sigma2(self) -> float:
-        return self.constants.sigma2
-
-    @property
-    def psi(self) -> float:
-        return self.constants.psi
-
-    def offspring_cumulative(self) -> np.ndarray:
-        return self.offspring.cumulative()
+    mu: float
+    sigma2: float
+    psi: float
 
     def digest(self) -> str:
         text = "|".join(
@@ -412,7 +392,9 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         motion=spec.motion,
         initial_age=float(spec.initial_age),
         initial_position=float(spec.initial_position),
-        constants=DerivedConstants(mu=float(mu), sigma2=float(sigma2), psi=float(psi)),
+        mu=float(mu),
+        sigma2=float(sigma2),
+        psi=float(psi),
     )
 
 
@@ -489,9 +471,9 @@ class ConfigError(ValueError):
 
 
 def _parse_lifetime(text: str) -> LifetimeLaw:
-    parts = text.split(":")
-    kind, args = parts[0], [float(a) for a in parts[1:]]
+    kind, *args = text.split(":")
     try:
+        args = [float(a) for a in args]
         if kind == "exp":
             return Exponential(*args)
         if kind == "gamma":
@@ -500,7 +482,7 @@ def _parse_lifetime(text: str) -> LifetimeLaw:
             return UniformLifetime(*args)
         if kind == "det":
             return Deterministic(*args)
-    except (TypeError, ModelError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lifetime spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown lifetime kind {kind!r} (use exp/gamma/uniform/det)")
 
@@ -552,11 +534,15 @@ def parse_model_config(text: str) -> ModelSpec:
         offspring = OffspringLaw(tuple(float(p) for p in fields["offspring"].split(",")))
     except (ValueError, ModelError) as exc:
         raise ConfigError(f"bad offspring spec {fields['offspring']!r}: {exc}") from exc
+    try:
+        initial = [float(fields.get(k, "0")) for k in ("initial_age", "initial_position")]
+    except ValueError as exc:
+        raise ConfigError(f"bad initial state: {exc}") from exc
 
     return ModelSpec(
         lifetime=_parse_lifetime(fields["lifetime"]),
         offspring=offspring,
         motion=_parse_motion(fields["motion"]),
-        initial_age=float(fields.get("initial_age", "0")),
-        initial_position=float(fields.get("initial_position", "0")),
+        initial_age=initial[0],
+        initial_position=initial[1],
     )

@@ -1,7 +1,7 @@
 """Estimators and hypothesis tests for the limit laws.
 
 Every test reports a TestReport whose pass criterion is statistic <=
-threshold at the configured level (default 0.001).  Closed-form birth-death
+threshold at the test level LEVEL = 0.001.  Closed-form birth-death
 oracles for the reference binary-exponential model live here too: they give
 exact finite-horizon laws against which the simulator is falsifiable without
 any asymptotics.
@@ -25,8 +25,12 @@ from .genealogy import coalescence_times, sample_survivors
 from .model import ValidatedModel, limit_age_ppf
 from .rng import RandomStream
 
-DEFAULT_LEVEL = 1e-3
+LEVEL = 1e-3  # level of every hypothesis test
 _PHI_PROBE_BOUND = 1e6
+_MIN_EXPECTED = 5.0  # chi-square cells are pooled below this expected count
+_INDEPENDENCE_BINS = 4  # quantile bins per axis of the independence table
+_CVM_TERMS = 8  # Bessel-K series terms of the limiting CvM cdf
+_M2_SIGMA = 3.0  # structural_m2_checks band, in combined stderr
 
 
 class EmptySample(ValueError):
@@ -138,7 +142,7 @@ def estimate_survival_curve(
 # ---------------------------------------------------------------------------
 
 
-def ks_distance(sample, cdf: Callable, level: float = DEFAULT_LEVEL) -> TestReport:
+def ks_distance(sample, cdf: Callable) -> TestReport:
     """Two-sided one-sample Kolmogorov-Smirnov test with asymptotic threshold."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
@@ -151,15 +155,15 @@ def ks_distance(sample, cdf: Callable, level: float = DEFAULT_LEVEL) -> TestRepo
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     d = max(float(np.max(hi - F)), float(np.max(F - lo)))
-    threshold = float(kstwobign.isf(level)) / math.sqrt(n)
-    return _report(d, threshold, n, f"KS vs target cdf at level {level}")
+    threshold = float(kstwobign.isf(LEVEL)) / math.sqrt(n)
+    return _report(d, threshold, n, f"KS vs target cdf at level {LEVEL}")
 
 
-def chi_square_gof(counts, pmf: Callable, level: float = DEFAULT_LEVEL, min_expected: float = 5.0) -> TestReport:
+def chi_square_gof(counts, pmf: Callable) -> TestReport:
     """Chi-square GOF of integer observations against an exact pmf on {1,2,...}.
 
-    Cells below the first one whose expected count reaches min_expected are
-    pooled into it; cells from the next one that falls under min_expected
+    Cells below the first one whose expected count reaches _MIN_EXPECTED are
+    pooled into it; cells from the next one that falls under _MIN_EXPECTED
     onward are pooled into one tail cell."""
     obs = np.asarray(counts, dtype=np.int64)
     n = obs.size
@@ -170,9 +174,9 @@ def chi_square_gof(counts, pmf: Callable, level: float = DEFAULT_LEVEL, min_expe
     kmax = int(obs.max())
     ks = np.arange(1, kmax + 1)
     expected = n * np.asarray(pmf(ks), dtype=float)
-    big = np.flatnonzero(expected >= min_expected)
+    big = np.flatnonzero(expected >= _MIN_EXPECTED)
     lo = int(big[0]) if big.size else 0  # cells 0..lo form the low cell
-    small = np.flatnonzero(expected[lo:] < min_expected)
+    small = np.flatnonzero(expected[lo:] < _MIN_EXPECTED)
     hi = max(lo + int(small[0]) if small.size else kmax, lo + 1)  # tail is k > hi
     obs_cells = np.array(
         [np.sum(obs <= lo + 1)] + [np.sum(obs == k) for k in range(lo + 2, hi + 1)]
@@ -185,11 +189,11 @@ def chi_square_gof(counts, pmf: Callable, level: float = DEFAULT_LEVEL, min_expe
     keep = exp_cells > 0
     stat = float(np.sum((obs_cells[keep] - exp_cells[keep]) ** 2 / exp_cells[keep]))
     df = int(keep.sum()) - 1
-    threshold = float(chi2_dist.isf(level, df))
-    return _report(stat, threshold, n, f"chi2 GOF, {df} df, level {level}")
+    threshold = float(chi2_dist.isf(LEVEL, df))
+    return _report(stat, threshold, n, f"chi2 GOF, {df} df, level {LEVEL}")
 
 
-def cvm_limit_cdf(x: float, terms: int = 8) -> float:
+def cvm_limit_cdf(x: float) -> float:
     """CDF of the asymptotic Cramer-von Mises distribution.
 
     Classical Bessel-K series; eight terms give full double precision for
@@ -197,7 +201,7 @@ def cvm_limit_cdf(x: float, terms: int = 8) -> float:
     if x <= 0:
         return 0.0
     total = 0.0
-    for j in range(terms):
+    for j in range(_CVM_TERMS):
         c = gamma_fn(j + 0.5) * math.sqrt(4 * j + 1) / (gamma_fn(0.5) * gamma_fn(j + 1))
         arg = (4 * j + 1) ** 2 / (16.0 * x)
         if arg > 700:
@@ -206,11 +210,11 @@ def cvm_limit_cdf(x: float, terms: int = 8) -> float:
     return float(total / (math.pi * math.sqrt(x)))
 
 
-def cvm_critical_value(level: float = DEFAULT_LEVEL) -> float:
+def cvm_critical_value(level: float = LEVEL) -> float:
     return float(brentq(lambda x: cvm_limit_cdf(x) - (1.0 - level), 0.02, 10.0, xtol=1e-10))
 
 
-def cvm_two_sample(x, y, level: float = DEFAULT_LEVEL) -> TestReport:
+def cvm_two_sample(x, y) -> TestReport:
     """Two-sample Cramer-von Mises test with asymptotic threshold."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -226,7 +230,7 @@ def cvm_two_sample(x, y, level: float = DEFAULT_LEVEL) -> TestReport:
     u = n * np.sum((rx - i) ** 2) + m * np.sum((ry - j) ** 2)
     big_n = n + m
     stat = u / (n * m * big_n) - (4 * n * m - 1) / (6.0 * big_n)
-    return _report(stat, cvm_critical_value(level), n + m, f"two-sample CvM at level {level}")
+    return _report(stat, cvm_critical_value(LEVEL), n + m, f"two-sample CvM at level {LEVEL}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,7 @@ def empirical_moment(snapshots, phi: Callable, k: int, horizon: float) -> Estima
     return mean_estimate(vals)
 
 
-def independence_statistic(pairs, level: float = DEFAULT_LEVEL, bins: int = 4) -> TestReport:
+def independence_statistic(pairs) -> TestReport:
     """Chi-square independence test on a quantile-binned contingency table."""
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -265,6 +269,7 @@ def independence_statistic(pairs, level: float = DEFAULT_LEVEL, bins: int = 4) -
     n = arr.shape[0]
     if n < 1000:
         raise TooFewSamples(f"need >= 1000 pairs, got {n}")
+    bins = _INDEPENDENCE_BINS
     qs = np.linspace(0, 1, bins + 1)[1:-1]
     ix = np.searchsorted(np.quantile(arr[:, 0], qs), arr[:, 0], side="right")
     iy = np.searchsorted(np.quantile(arr[:, 1], qs), arr[:, 1], side="right")
@@ -275,8 +280,8 @@ def independence_statistic(pairs, level: float = DEFAULT_LEVEL, bins: int = 4) -
     expected = row * col / n
     stat = float(np.sum((table - expected) ** 2 / expected))
     df = (bins - 1) ** 2
-    threshold = float(chi2_dist.isf(level, df))
-    return _report(stat, threshold, n, f"chi2 independence, {df} df, level {level}")
+    threshold = float(chi2_dist.isf(LEVEL, df))
+    return _report(stat, threshold, n, f"chi2 independence, {df} df, level {LEVEL}")
 
 
 def empirical_char_fn(sample, theta: float) -> ComplexEstimate:
@@ -312,7 +317,6 @@ def structural_m2_checks(
     runs: Iterable[RunRecord],
     phis: Sequence[Callable],
     rng: RandomStream,
-    sigma_factor: float = 3.0,
 ) -> list[M2Report]:
     """Self-consistency test of the two-particle decoupling structure.
 
@@ -321,7 +325,7 @@ def structural_m2_checks(
     resample with independent ages from the limit age law, positions built as
     sqrt(T) S + sqrt(1-T) V_i with S, V_i Normal(0, psi/mu) and T drawn from
     the empirical split-time sample tau/t of the same runs.  Passes when
-    |A - B| <= sigma_factor * combined stderr.  One streaming pass serves all
+    |A - B| <= _M2_SIGMA * combined stderr.  One streaming pass serves all
     test functions."""
     for phi in phis:
         _probe_phi(phi)
@@ -367,12 +371,12 @@ def structural_m2_checks(
         a_est = mean_estimate(a_vals[p_i])
         b_est = mean_estimate(np.asarray(phi(U1, X1), dtype=float) * np.asarray(phi(U2, X2), dtype=float))
         diff = abs(a_est.value - b_est.value)
-        bound = sigma_factor * math.hypot(a_est.stderr, b_est.stderr)
+        bound = _M2_SIGMA * math.hypot(a_est.stderr, b_est.stderr)
         out.append(
             M2Report(
                 direct=a_est,
                 plugin=b_est,
-                report=_report(diff, bound, n_runs, f"|direct - plugin| <= {sigma_factor} sigma"),
+                report=_report(diff, bound, n_runs, f"|direct - plugin| <= {_M2_SIGMA} sigma"),
             )
         )
     return out

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import poisson as poisson_dist
 
-from .engine import DEFAULT_PARTICLE_CAP, simulate_fields
+from .engine import CapExceeded, simulate_fields
 from .model import (
     Brownian,
+    ConfigError,
     Exponential,
     ModelSpec,
     OffspringLaw,
@@ -30,15 +31,16 @@ from .model import (
 from .rng import RandomStream, derive_key
 from .stats import Estimate
 
-DEFAULT_EPSILON = 0.01
+EPSILON = 0.01  # smallest macroscopic time scaled_fields accepts
 _FIELD_BATCH = 64  # fields simulated together; results do not depend on it
+_ASF_GRID = 1000  # points of asf_error's grid on [0, N]
 
 
-class NTooSmall(ValueError):
+class NTooSmall(ConfigError):
     pass
 
 
-class InfiniteMass(ValueError):
+class InfiniteMass(ConfigError):
     pass
 
 
@@ -57,7 +59,7 @@ def near_critical_family(n: int) -> OffspringLaw:
     return OffspringLaw((2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0))
 
 
-def asf_error(offspring: OffspringLaw, n: int, N: float, grid_points: int = 1000) -> float:
+def asf_error(offspring: OffspringLaw, n: int, N: float) -> float:
     """sup over u in [0, N] of |n^2 (F(1 - u/n) - (1 - u/n)) - u^2|.
 
     Evaluated on a uniform grid; N = 0 degenerates to the single point u = 0
@@ -65,7 +67,7 @@ def asf_error(offspring: OffspringLaw, n: int, N: float, grid_points: int = 1000
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    u = np.linspace(0.0, float(N), grid_points if N > 0 else 1)
+    u = np.linspace(0.0, float(N), _ASF_GRID if N > 0 else 1)
     s = 1.0 - u / n
     err = n**2 * (offspring.generating_function(s) - s) - u**2
     return float(np.max(np.abs(err)))
@@ -73,52 +75,36 @@ def asf_error(offspring: OffspringLaw, n: int, N: float, grid_points: int = 1000
 
 @dataclass(frozen=True)
 class Intensity:
-    """Product initial intensity: (exponential age marginal) x (spatial
-    marginal) with a finite total mass.  spatial is "gauss" (standard normal
-    scaled by spatial_scale) or "point" (all mass at position 0)."""
+    """Product initial intensity with a finite total mass: Exp(1) ages times
+    standard normal positions."""
 
     total_mass: float = 1.0
-    age_rate: float = 1.0
-    spatial: str = "gauss"
-    spatial_scale: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.total_mass) and self.total_mass >= 0):
             raise InfiniteMass(f"total mass {self.total_mass!r} must be finite and nonnegative")
-        if self.spatial not in ("gauss", "point"):
-            raise ValueError(f"unknown spatial marginal {self.spatial!r}")
-        if self.age_rate <= 0 or self.spatial_scale <= 0:
-            raise ValueError("age_rate and spatial_scale must be positive")
 
     def spatial_pdf(self, x):
-        if self.spatial == "point":
-            raise ValueError("point marginal has no density")
         x = np.asarray(x, dtype=float)
-        s = self.spatial_scale
-        return np.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2 * math.pi))
+        return np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi)
 
 
 @dataclass(frozen=True)
 class ScalingFamily:
     n: int
     lam: float = 1.0
-    offspring: Optional[OffspringLaw] = None
     nu: Intensity = field(default_factory=Intensity)
 
     def __post_init__(self):
         if self.n < 2:
             raise NTooSmall(f"scaling level n must be >= 2, got {self.n}")
         if self.lam <= 0:
-            raise ValueError("lifetime rate must be positive")
-        if self.offspring is None:
-            object.__setattr__(self, "offspring", near_critical_family(self.n))
-        if abs(self.offspring.mean() - 1.0) > 1e-9:
-            raise ValueError("scaled offspring law must be critical")
+            raise ConfigError("lifetime rate must be positive")
 
     def model(self) -> ValidatedModel:
         """Microscopic model at this level: motion variance scaled by 1/n."""
         return validate_model(
-            ModelSpec(lifetime=Exponential(self.lam), offspring=self.offspring,
+            ModelSpec(lifetime=Exponential(self.lam), offspring=near_critical_family(self.n),
                       motion=Brownian(1.0 / self.n))
         )
 
@@ -137,25 +123,13 @@ def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
     mean = n * nu.total_mass
     if not math.isfinite(mean):
         raise InfiniteMass(f"n * |nu| = {mean!r}")
-    if mean == 0:
+    count = int(poisson_dist.ppf(rng.uniform(), mean)) if mean else 0
+    if not count:
         return np.empty(0), np.empty(0)
-    count = int(poisson_dist.ppf(rng.uniform(), mean))
-    ages = -np.log1p(-rng.uniform(size=count)) / nu.age_rate if count else np.empty(0)
-    if nu.spatial == "gauss":
-        positions = nu.spatial_scale * np.asarray(ndtri(rng.uniform(size=count))) if count else np.empty(0)
-    else:
-        positions = np.zeros(count)
-    return ages, positions
+    return -np.log1p(-rng.uniform(size=count)), np.asarray(ndtri(rng.uniform(size=count)))
 
 
-def scaled_fields(
-    family: ScalingFamily,
-    t: float,
-    reps: int,
-    rng: RandomStream,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-    epsilon: float = DEFAULT_EPSILON,
-):
+def scaled_fields(family: ScalingFamily, t: float, reps: int, rng: RandomStream):
     """Simulate `reps` independent fields of Y^n to macroscopic time t
     (microscopic n*t), `_FIELD_BATCH` at a time.
 
@@ -163,12 +137,12 @@ def scaled_fields(
     under the key derived from rng.child(r), so it does not depend on the
     batching.  Yields simulate_fields' (rep, ages, positions, counts) per
     batch, rep counted from the batch's first field; each alive particle
-    carries weight 1/n.
+    carries weight 1/n.  A CapExceeded names fields by their index in 0..reps-1.
     """
-    if t < epsilon:
-        raise ValueError(f"macroscopic time {t} below the cutoff {epsilon}")
+    if t < EPSILON:
+        raise ConfigError(f"macroscopic time {t} below the cutoff {EPSILON}")
     if reps < 1:
-        raise ValueError("reps must be positive")
+        raise ConfigError("reps must be positive")
     model = family.model()
     for start in range(0, reps, _FIELD_BATCH):
         root_rep, root_birth, root_pos, keys = [], [], [], []
@@ -179,33 +153,23 @@ def scaled_fields(
             root_birth.append(-ages0)
             root_pos.append(pos0)
             keys.append(int(derive_key(np.uint64(s.key), np.uint64(1)).ravel()[0]))
-        yield simulate_fields(
-            model,
-            family.n * t,
-            np.asarray(keys, dtype=np.uint64),
-            np.concatenate(root_rep),
-            np.concatenate(root_birth),
-            np.concatenate(root_pos),
-            particle_cap,
-        )
+        try:
+            batch = simulate_fields(model, family.n * t, np.asarray(keys, dtype=np.uint64),
+                                    np.concatenate(root_rep), np.concatenate(root_birth),
+                                    np.concatenate(root_pos))
+        except CapExceeded as exc:
+            raise CapExceeded([start + r for r in exc.replicates]) from None
+        yield batch
 
 
-def laplace_mc(
-    family: ScalingFamily,
-    f: Callable,
-    t: float,
-    reps: int,
-    rng: RandomStream,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-    epsilon: float = DEFAULT_EPSILON,
-) -> Estimate:
+def laplace_mc(family: ScalingFamily, f: Callable, t: float, reps: int, rng: RandomStream) -> Estimate:
     """-log E[exp(-<f, Y^n_t>)] over `reps` independent fields of
     `scaled_fields`.  The stderr is the delta-method transfer of the
     exp-functional's sampling error.
     """
     weight = 1.0 / family.n
     vals = []
-    for rep, ages, positions, counts in scaled_fields(family, t, reps, rng, particle_cap, epsilon):
+    for rep, ages, positions, counts in scaled_fields(family, t, reps, rng):
         total = np.zeros(counts.size)
         if ages.size:
             np.add.at(total, rep, weight * np.asarray(f(ages, positions), dtype=float))

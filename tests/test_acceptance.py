@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from branchlab.stats import birth_death_conditioned_pmf, chi_square_gof
+from branchlab.stats import LEVEL, birth_death_conditioned_pmf, chi_square_gof
 from branchlab.verify import (
     CRITERIA,
     EXPECTED_RED,
-    LEVEL,
     _TAG_T50,
     _TAG_T50_COUNTS,
     _TAG_T100,
@@ -97,7 +96,7 @@ def test_criterion_02_population_law(harness, results):
     gap = lattice_ks_gap(t)
     assert gap > row.threshold
     assert gap <= row.statistic <= gap + row.threshold
-    gof = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(1.0, t, k), level=LEVEL)
+    gof = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(1.0, t, k))
     assert gof.passed, gof
 
 

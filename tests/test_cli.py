@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import branchlab
-from branchlab import verify
+from branchlab import cli, verify
 from branchlab.cli import dispatch
+from branchlab.genealogy import DuplicateIds
 from branchlab.stats import TooFewSamples
 
 
@@ -172,6 +173,35 @@ def test_superprocess_row(tmp_path):
 
 def test_superprocess_bad_f_exits_2():
     assert dispatch(["superprocess", "--n", "20", "--t", "1.0", "--f", "nope", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "superprocess --n 1 --t 1 --seed 1",
+    "superprocess --n 10 --t 0.001 --seed 1",
+    "superprocess --n 10 --t 1 --nu-mass -1 --seed 1",
+    "superprocess --n 10 --t 1 --reps 0 --seed 1",
+    "superprocess --n 10 --t 1 --lambda 0 --seed 1",
+    "superprocess --n 10 --t 1 --f const:abc --seed 1",
+    "loglaplace --t 1 --dt 0.3",
+    "loglaplace --t 1 --nx 8",
+    "loglaplace --t 1 --nx 16",
+    "loglaplace --t 1 --f nope",
+    "loglaplace --t 1 --dt 0.5 --f const:5",
+    "loglaplace --t 1 --dt 0.5 --lambda -1",
+    "simulate --t 1 --seed 1 --model /nonexistent",
+])
+def test_bad_arguments_exit_2(argv, capsys):
+    assert dispatch(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_program_errors_keep_their_traceback(monkeypatch):
+    def duplicate(run, ids):
+        raise DuplicateIds("survivor ids repeat")
+
+    monkeypatch.setattr(cli, "coalescence_times", duplicate)
+    with pytest.raises(DuplicateIds):
+        dispatch(["coalescent", "--t", "5", "--reps", "3", "--seed", "1"])
 
 
 def test_module_entry_point_runs():

@@ -96,7 +96,7 @@ def test_conditioned_attempts_oracle():
 
 def test_conditioned_population_exact_law():
     counts, _ = conditioned_counts(MODEL, 10.0, stream(11), 10_000)
-    rep = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(1.0, 10.0, k), level=1e-3)
+    rep = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(1.0, 10.0, k))
     assert rep.passed, (rep.statistic, rep.threshold)
 
 
@@ -109,6 +109,27 @@ def test_cap_exceeded():
 def test_max_attempts_exceeded():
     with pytest.raises(MaxAttemptsExceeded):
         run_conditioned(MODEL, 200.0, stream(4), max_attempts=1)
+
+
+def test_batched_drivers_raise_max_attempts(monkeypatch):
+    # P(N_200 > 0) = 1/101, so one attempt each cannot settle all 8 replicates
+    monkeypatch.setattr(engine, "DEFAULT_MAX_ATTEMPTS", 1)
+    with pytest.raises(MaxAttemptsExceeded):
+        conditioned_counts(MODEL, 200.0, stream(4), 8)
+    with pytest.raises(MaxAttemptsExceeded):
+        list(iter_runs(MODEL, 200.0, stream(4), 8, conditioned=True))
+
+
+def test_iter_runs_cap_names_the_global_replicate(monkeypatch):
+    t, reps, block, rng = 6.0, 12, 4, stream(21)
+    sizes = [len(run_once(MODEL, t, rng.child(r).child(0)).arena) for r in range(reps)]
+    worst = int(np.argmax(sizes))
+    cap = max(s for r, s in enumerate(sizes) if r != worst)
+    assert worst >= block and sizes[worst] > cap  # the one offender sits in a later block
+    monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+    with pytest.raises(CapExceeded) as exc:
+        list(iter_runs(MODEL, t, rng, reps, particle_cap=cap))
+    assert exc.value.replicates == [worst]
 
 
 def test_unconditioned_mean_survivor_position_zero():
@@ -138,10 +159,12 @@ def test_thread_and_chunk_invariance():
     assert np.array_equal(base, survival_counts(MODEL, 15.0, stream(8), 6000, chunk_size=501))
 
 
-def test_block_size_invariance():
-    a = [run_to_jsonl(r) for r in iter_runs(MODEL, 8.0, stream(9), 20, conditioned=True, block_size=3)]
-    b = [run_to_jsonl(r) for r in iter_runs(MODEL, 8.0, stream(9), 20, conditioned=True, block_size=256)]
-    assert a == b
+def test_block_size_invariance(monkeypatch):
+    def runs(block):
+        monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+        return [run_to_jsonl(r) for r in iter_runs(MODEL, 8.0, stream(9), 20, conditioned=True)]
+
+    assert runs(3) == runs(256)
 
 
 def test_attempt_block_invariance(monkeypatch):

@@ -174,14 +174,6 @@ def test_self_convergence():
     assert abs(fine - base) < 1e-3 * abs(base)
 
 
-def test_integrate_against_point_mass():
-    # linear interpolation at x=0 is exact for values linear in x
-    grid = default_grid(1.0, 1.0, 1.0, nx=64, dt=0.25)
-    vals = np.full(grid.nx, 1.5)
-    nu = Intensity(total_mass=2.0, spatial="point")
-    assert integrate_against(vals, grid, nu) == pytest.approx(3.0)
-
-
 def test_solution_csv_header_and_size():
     grid = GridSpec(-2.0, 2.0, 16, 0.25, 0.5)
     sol = solve_u(ONE, 1.0, 1.0, grid)

@@ -186,7 +186,7 @@ def test_offspring_mean_large_sample():
     # offspring counts drawn as the engine draws them
     m = binary_exponential_model()
     u = stream(314).uniform(size=1_000_000)
-    counts = np.searchsorted(m.offspring_cumulative(), u, side="right")
+    counts = np.searchsorted(m.offspring.cumulative(), u, side="right")
     assert abs(counts.mean() - 1.0) < 0.005  # 4 sigma / sqrt(n) with sigma=1
 
 
@@ -222,7 +222,8 @@ def test_parse_config_roundtrip():
     initial_position = 0
     """
     m = validate_model(parse_model_config(text))
-    assert m.constants == binary_exponential_model().constants
+    ref = binary_exponential_model()
+    assert (m.mu, m.sigma2, m.psi) == (ref.mu, ref.sigma2, ref.psi)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +235,8 @@ def test_parse_config_roundtrip():
         "lifetime = exp:1\noffspring = 0.5;0;0.5\nmotion = bm:1.0",
         "lifetime = exp:1\noffspring = 0.5,0,0.5\nmotion = ou:1.0",
         "lifetime exp:1",
+        "lifetime = exp:abc\noffspring = 0.5,0,0.5\nmotion = bm:1.0",
+        "lifetime = exp:1\noffspring = 0.5,0,0.5\nmotion = bm:1.0\ninitial_age = x",
     ],
 )
 def test_parse_config_rejects(text):

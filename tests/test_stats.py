@@ -78,7 +78,7 @@ def test_ks_null_calibration():
     fails = 0
     for i in range(200):
         u = stream(100, i).uniform(size=10_000)
-        rep = ks_distance(u, lambda x: np.clip(x, 0, 1), level=1e-3)
+        rep = ks_distance(u, lambda x: np.clip(x, 0, 1))
         fails += not rep.passed
     assert fails <= 1  # >= 99.5% pass rate
 
@@ -112,7 +112,7 @@ def test_chi_square_null_calibration():
     for i in range(100):
         u = stream(200, i).uniform(size=2000)
         counts = 1 + np.floor(np.log1p(-u) / np.log1p(-p)).astype(int)
-        rep = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(lam, t, k), level=1e-3)
+        rep = chi_square_gof(counts, lambda k: birth_death_conditioned_pmf(lam, t, k))
         fails += not rep.passed
     assert fails <= 2
 
@@ -120,8 +120,8 @@ def test_chi_square_null_calibration():
 def test_chi_square_pools_low_and_high_tails():
     # a law whose mass starts far above k=1 keeps its bulk cells
     draws = poisson.ppf(stream(5).uniform(size=5000), 100.0).astype(int)
-    same = chi_square_gof(draws, lambda k: poisson.pmf(k, 100.0), level=1e-3)
-    shifted = chi_square_gof(draws, lambda k: poisson.pmf(k, 103.0), level=1e-3)
+    same = chi_square_gof(draws, lambda k: poisson.pmf(k, 100.0))
+    shifted = chi_square_gof(draws, lambda k: poisson.pmf(k, 103.0))
     assert same.passed
     assert not shifted.passed
     assert int(shifted.target.split()[2]) > 30  # degrees of freedom
@@ -134,7 +134,7 @@ def test_independence_null_calibration():
     for i in range(100):
         s = stream(300, i)
         pairs = np.column_stack([s.uniform(size=2000), s.uniform(size=2000)])
-        rep = independence_statistic(pairs, level=1e-3)
+        rep = independence_statistic(pairs)
         fails += not rep.passed
     assert fails <= 2
 

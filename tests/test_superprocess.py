@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from branchlab import engine
 from branchlab.engine import CapExceeded
 from branchlab.loglaplace import parse_test_function
 from branchlab.model import OffspringLaw
@@ -70,8 +71,6 @@ def test_asf_error_at_n_zero_width():
 def test_intensity_validation():
     with pytest.raises(InfiniteMass):
         Intensity(total_mass=math.inf)
-    with pytest.raises(ValueError):
-        Intensity(spatial="cauchy")
 
 
 def test_poisson_field_moments():
@@ -93,8 +92,8 @@ def test_poisson_field_deterministic():
 
 
 def test_poisson_field_marginals():
-    ages, pos = sample_poisson_field(20_000, Intensity(age_rate=2.0), stream(4))
-    assert abs(ages.mean() - 0.5) < 4 * 0.5 / math.sqrt(ages.size)
+    ages, pos = sample_poisson_field(20_000, Intensity(), stream(4))
+    assert abs(ages.mean() - 1.0) < 4 / math.sqrt(ages.size)
     assert abs(pos.mean()) < 4 / math.sqrt(pos.size)
     assert abs(pos.std() - 1.0) < 0.02
 
@@ -188,6 +187,19 @@ def test_laplace_age_functional_oracle():
     assert abs(est.value - target) < 4 * est.stderr + 0.01
 
 
-def test_cap_applies_to_fields():
+def test_cap_applies_to_fields(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", 10)
     with pytest.raises(CapExceeded):
-        laplace_mc(ScalingFamily(n=200), ONE, 1.0, 5, stream(12), particle_cap=10)
+        laplace_mc(ScalingFamily(n=200), ONE, 1.0, 5, stream(12))
+
+
+@pytest.mark.parametrize("batch", [64, 1])
+def test_cap_names_the_global_field(monkeypatch, batch):
+    # field 95 is the first of 128 to pass 1250 rows; it sits at slot 31 of
+    # the second 64-field batch
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", 1250)
+    monkeypatch.setattr(superprocess, "_FIELD_BATCH", batch)
+    with pytest.raises(CapExceeded) as exc:
+        for _ in scaled_fields(ScalingFamily(n=20), 1.0, 128, stream(3)):
+            pass
+    assert exc.value.replicates == [95]
