@@ -91,6 +91,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_coalescent(args) -> int:
+    if args.k < 2:
+        raise ConfigError(f"--k {args.k}: a coalescence time needs at least 2 survivors")
     model = _load_model(args.model)
     samp = stream(args.seed, 999)
     rows = []

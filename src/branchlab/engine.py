@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .model import MotionLaw, ValidatedModel
+from .model import ConfigError, MotionLaw, ValidatedModel
 from .rng import RandomStream, _derive_fast, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
@@ -145,6 +145,8 @@ def _batch_simulate(
     motion = model.motion
     cum = model.offspring.cumulative()
     horizon = float(horizon)
+    if horizon < 0:
+        raise ConfigError(f"horizon {horizon} must be nonnegative")
 
     rep = np.asarray(root_rep, dtype=np.int64)
     parent = np.full(rep.size, -1, dtype=np.int64)
@@ -321,8 +323,6 @@ def run_once(
     particle_cap: int = DEFAULT_PARTICLE_CAP,
 ) -> RunRecord:
     """One unconditioned run from a single root; deterministic in rng.key."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
     batch = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")

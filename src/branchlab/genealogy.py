@@ -76,12 +76,18 @@ def _path_to_root(run: RunRecord, pid: int) -> list[int]:
     """Node ids from the root down to pid (root first)."""
     parent = run.arena.parent
     path = [pid]
-    node = pid
-    while parent[node] >= 0:
-        node = int(parent[node])
+    node = parent.item(pid)
+    while node >= 0:
         path.append(node)
+        node = parent.item(node)
     path.reverse()
     return path
+
+
+def _mrca(a: list[int], b: list[int]) -> int:
+    """Deepest node shared by two root-first paths."""
+    shared = next((d for d, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return a[shared - 1]
 
 
 def ancestral_line(run: RunRecord, pid: int) -> AncestralLine:
@@ -120,23 +126,12 @@ def coalescence_times(run: RunRecord, ids) -> CoalescentSample:
     pairwise = np.full((k, k), np.nan)
     for i in range(k):
         for j in range(i + 1, k):
-            a, b = paths[i], paths[j]
-            depth = 0
-            limit = min(len(a), len(b))
-            while depth < limit and a[depth] == b[depth]:
-                depth += 1
-            mrca = a[depth - 1]
-            pairwise[i, j] = pairwise[j, i] = arena.birth[mrca]
+            pairwise[i, j] = pairwise[j, i] = arena.birth[_mrca(paths[i], paths[j])]
 
-    branches: dict[int, set[int]] = {}
-    for path in paths:
-        for parent_node, child_node in zip(path[:-1], path[1:]):
-            branches.setdefault(parent_node, set()).add(child_node)
-    tau = []
-    for node, children in branches.items():
-        if len(children) >= 2:
-            tau.extend([float(arena.birth[node])] * (len(children) - 1))
-    tau.sort()
+    # sorted root-first paths are in depth-first order, so the MRCAs of
+    # neighbours visit each split node once per extra sampled branch
+    paths.sort()
+    tau = sorted(float(arena.birth[_mrca(a, b)]) for a, b in zip(paths, paths[1:]))
     return CoalescentSample(ids=ids.copy(), tau=np.asarray(tau), pairwise=pairwise)
 
 

@@ -6,7 +6,9 @@ integer tokens (seed -> replicate -> attempt -> particle), so results never
 depend on batching, chunk sizes or wave layout: particle i of
 replicate r always sees the same draws no matter how the simulation around it
 is organised.  The hash is the splitmix64 finalizer, applied twice with
-domain-separation salts for key derivation versus value draws.
+domain-separation salts for key derivation versus value draws.  Single keys
+are hashed on Python ints (`_mix_int`), arrays through numpy (`_mix`); the
+two paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _CHILD_SALT = np.uint64(0x8F1BBCDCBFA53E0B)
 _DRAW_SALT = np.uint64(0x2545F4914F6CDD1D)
+_CHILD_SALT_INT, _DRAW_SALT_INT = int(_CHILD_SALT), int(_DRAW_SALT)
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -36,6 +39,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _SHIFT30)) * _MULT1
     z = (z ^ (z >> _SHIFT27)) * _MULT2
     return z ^ (z >> _SHIFT31)
+
+
+def _mix_int(z: int) -> int:
+    """_mix on one Python int, taken mod 2^64; no numpy per-call overhead."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _as_u64(x) -> np.ndarray:
@@ -65,7 +76,7 @@ def _derive_fast(keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
 
 def slot_hash(slot: int) -> np.uint64:
     """Precomputable inner hash for a draw slot; pair with slot_uniform."""
-    return np.uint64(mix64(_as_u64(slot) ^ _DRAW_SALT)[0])
+    return np.uint64(_mix_int(int(slot) ^ _DRAW_SALT_INT))
 
 
 def slot_uniform(keys: np.ndarray, hashed_slot: np.uint64) -> np.ndarray:
@@ -108,26 +119,33 @@ class RandomStream:
     _counter: int = field(default=0, repr=False)
 
     def child(self, index: int) -> "RandomStream":
-        return RandomStream(int(derive_key(self.key, index).ravel()[0]), self.path + (index,))
+        key = _mix_int(self.key ^ _mix_int(int(index) ^ _CHILD_SALT_INT))
+        return RandomStream(key, self.path + (index,))
+
+    def _next_uniform(self) -> float:
+        """uniform_at(key, counter) on Python ints; advances the counter."""
+        bits = _mix_int(self.key ^ _mix_int(self._counter ^ _DRAW_SALT_INT))
+        self._counter += 1
+        return ((bits >> 11) + 0.5) * _INV_2_53
 
     def _slots(self, size):
-        n = 1 if size is None else int(size)
-        slots = np.arange(self._counter, self._counter + n, dtype=np.uint64)
-        self._counter += n
-        return slots
+        self._counter += int(size)
+        return np.arange(self._counter - int(size), self._counter, dtype=np.uint64)
 
     def uniform(self, size=None):
-        out = uniform_at(np.uint64(self.key), self._slots(size))
-        return float(out[0]) if size is None else out
+        if size is None:
+            return self._next_uniform()
+        return uniform_at(self.key, self._slots(size))
 
     def normal(self, size=None):
-        out = ndtri(uniform_at(np.uint64(self.key), self._slots(size)))
-        return float(out[0]) if size is None else out
+        if size is None:
+            return float(ndtri(self._next_uniform()))
+        return ndtri(uniform_at(self.key, self._slots(size)))
 
 
 def stream(seed: int, *path: int) -> RandomStream:
     """Root stream for a 64-bit seed, optionally descended along `path`."""
-    s = RandomStream(int(mix64(seed)[0]), (int(seed),))
+    s = RandomStream(_mix_int(int(seed)), (int(seed),))
     for token in path:
         s = s.child(token)
     return s

@@ -28,7 +28,7 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
-from .rng import RandomStream, derive_key
+from .rng import RandomStream
 from .stats import Estimate
 
 EPSILON = 0.01  # smallest macroscopic time scaled_fields accepts
@@ -152,7 +152,7 @@ def scaled_fields(family: ScalingFamily, t: float, reps: int, rng: RandomStream)
             root_rep.append(np.full(ages0.size, r - start, dtype=np.int64))
             root_birth.append(-ages0)
             root_pos.append(pos0)
-            keys.append(int(derive_key(np.uint64(s.key), np.uint64(1)).ravel()[0]))
+            keys.append(s.child(1).key)
         try:
             batch = simulate_fields(model, family.n * t, np.asarray(keys, dtype=np.uint64),
                                     np.concatenate(root_rep), np.concatenate(root_birth),

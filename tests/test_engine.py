@@ -22,11 +22,13 @@ from branchlab.engine import (
     run_conditioned,
     run_once,
     run_to_jsonl,
+    simulate_fields,
     snapshot_at,
     survival_counts,
 )
 from branchlab.model import (
     Brownian,
+    ConfigError,
     Deterministic,
     Exponential,
     ModelSpec,
@@ -71,6 +73,25 @@ def test_horizon_zero_single_entry():
     assert run.snapshot.n_alive == 1
     assert run.snapshot.ages[0] == 0.7
     assert run.snapshot.positions[0] == -2.0
+
+
+def test_negative_horizon_rejected_before_simulating(monkeypatch):
+    def no_wave(*args):
+        raise AssertionError("a wave was simulated")
+
+    monkeypatch.setattr(engine, "slot_uniform", no_wave)
+    one = np.zeros(1, dtype=np.int64)
+    drivers = [
+        lambda: run_once(MODEL, -1.0, stream(1)),
+        lambda: next(iter_runs(MODEL, -1.0, stream(1), 2)),
+        lambda: next(iter_runs(MODEL, -0.5, stream(1), 2, conditioned=True)),
+        lambda: survival_counts(MODEL, -1.0, stream(1), 10),
+        lambda: conditioned_counts(MODEL, -1.0, stream(1), 10),
+        lambda: simulate_fields(MODEL, -1.0, np.ones(1, dtype=np.uint64), one, np.zeros(1), np.zeros(1)),
+    ]
+    for driver in drivers:
+        with pytest.raises(ConfigError, match="nonnegative"):
+            driver()
 
 
 def test_seed_7_0_identical_arenas():

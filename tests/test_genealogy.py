@@ -17,10 +17,15 @@ from branchlab.genealogy import (
     coalescent_csv_rows,
     sample_survivors,
 )
-from branchlab.model import Brownian, binary_exponential_model
+from branchlab.model import Brownian, binary_exponential_model, parse_model_config, validate_model
 from branchlab.rng import stream
 
 MODEL = binary_exponential_model()
+# critical (mean 0.4 + 3 * 0.2 = 1) with triple births, so one split node can
+# carry three sampled branches
+TERNARY = validate_model(parse_model_config(
+    "lifetime = exp:1.0\noffspring = 0.4,0.4,0,0.2\nmotion = bm:1.0\n"
+))
 
 
 def manual_run(parent, birth, lifetime, horizon, displacement=None):
@@ -167,6 +172,49 @@ def test_two_level_tree():
     assert cs.pairwise[1, 2] == 1.0  # MRCA of 3,4 is particle 1, born at 1.0
     assert cs.pairwise[0, 1] == 0.0
     assert cs.tau[-1] == np.nanmax(cs.pairwise)
+
+
+def test_three_branch_root_repeats_its_birth():
+    # the root, born at 0.25, leaves three children alive at the horizon
+    run = manual_run(
+        parent=[-1, 0, 0, 0],
+        birth=[0.25, 1.0, 1.0, 1.0],
+        lifetime=[0.75, 9.0, 9.0, 9.0],
+        horizon=2.0,
+    )
+    cs = coalescence_times(run, [3, 1, 2])
+    assert cs.tau.tolist() == [0.25, 0.25]
+
+
+def branch_count_tau(run, ids):
+    """Split times by their definition, and the widest split: every node
+    through which c >= 2 distinct sampled lineages pass contributes its birth
+    time c - 1 times."""
+    parent, birth = run.arena.parent, run.arena.birth
+    branches = {}
+    for pid in ids:
+        child, node = int(pid), int(parent[pid])
+        while node >= 0:
+            branches.setdefault(node, set()).add(child)
+            child, node = node, int(parent[node])
+    tau = []
+    for node, children in branches.items():
+        tau.extend([float(birth[node])] * (len(children) - 1))
+    return sorted(tau), max(len(c) for c in branches.values())
+
+
+def test_split_times_match_branch_count_definition():
+    samples = three_branch = 0
+    samp = stream(22, 99)
+    for i, run in enumerate(iter_runs(TERNARY, 6.0, stream(21), 400, conditioned=True)):
+        for k in range(2, min(5, run.snapshot.n_alive) + 1):
+            ids = sample_survivors(run, k, samp.child(i).child(k))
+            tau, widest = branch_count_tau(run, ids)
+            assert coalescence_times(run, ids).tau.tolist() == tau
+            samples += 1
+            three_branch += widest >= 3
+    assert samples > 300
+    assert three_branch > 0
 
 
 def test_duplicate_ids_rejected():

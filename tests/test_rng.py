@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab.rng import (
+    _DRAW_SALT,
     RandomStream,
+    _as_u64,
+    _mix,
+    _mix_int,
     derive_key,
     draw_u64,
     mix64,
@@ -113,3 +117,62 @@ def test_uniform_at_broadcasts_slots():
     many = uniform_at(key, np.arange(10, dtype=np.uint64))
     for j in range(10):
         assert many[j] == uniform_at(key, j)[0]
+
+
+# --- single keys on Python ints against the numpy array path -----------------
+
+U64 = st.integers(0, 2**64 - 1)
+INTS = st.one_of(U64, st.integers(-(2**64), -1))
+TOKENS = st.one_of(
+    INTS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    U64.map(np.uint64),
+)
+
+
+@given(U64)
+@settings(max_examples=200, deadline=None)
+def test_mix_int_matches_mix(x):
+    assert _mix_int(x) == int(_mix(np.array([x], dtype=np.uint64))[0])
+
+
+@given(INTS, TOKENS)
+@settings(max_examples=200, deadline=None)
+def test_scalar_child_matches_derive_key(key, token):
+    child = RandomStream(key).child(token)
+    assert type(child.key) is int
+    assert child.key == int(derive_key(key, token)[0])
+
+
+@given(INTS, st.integers(1, 40), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_scalar_draws_match_array_draws(key, n, more):
+    s = RandomStream(key)
+    singles = [s.uniform() for _ in range(n)]
+    assert all(type(u) is float for u in singles)
+    assert singles == RandomStream(key).uniform(size=n).tolist()
+    # scalar and array draws share one counter
+    assert np.array_equal(s.uniform(size=more), RandomStream(key).uniform(size=n + more)[n:])
+    s = RandomStream(key)
+    singles = [s.normal() for _ in range(n)]
+    assert all(type(z) is float for z in singles)
+    assert singles == RandomStream(key).normal(size=n).tolist()
+
+
+@given(INTS, st.lists(TOKENS, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_stream_matches_array_composition(seed, path):
+    key = mix64(seed)
+    for token in path:
+        key = derive_key(key, token)
+    assert stream(seed, *path).key == int(key[0])
+
+
+@given(INTS)
+@settings(max_examples=100, deadline=None)
+def test_slot_hash_unchanged(slot):
+    h = slot_hash(slot)
+    assert isinstance(h, np.uint64)
+    assert h == mix64(_as_u64(slot) ^ _DRAW_SALT)[0]
+    keys = mix64(np.arange(8, dtype=np.uint64))
+    assert np.array_equal(slot_uniform(keys, h), uniform_at(keys, slot))
