@@ -6,7 +6,9 @@ displacement come from slots of a key hashed from (run key, particle id), so
 a replicate's realization is invariant to batching and wave layout;
 `run_once` on a single replicate reproduces byte-for-byte what the
 batched drivers produce for the same key.  Particle ids are assigned in
-generation order (parents always precede children).
+generation order (parents always precede children).  Roots must come
+sorted by replicate: a wave's rows then are too, and are numbered per run of
+equal replicates, so a wave costs O(its own rows) however big the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import ConfigError, MotionLaw, ValidatedModel
-from .rng import RandomStream, _derive_fast, derive_key, slot_hash, slot_uniform
+from .rng import _CHILD_SALT, RandomStream, _derive_fast, _mix, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -113,12 +115,37 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-class _ArenaAccum:
-    __slots__ = ("rep", "parent", "birth", "lifetime", "disp", "pos", "alive")
+def _offspring_count(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum, u, side="right") for uniforms u < 1: the number
+    of cumulative levels at or below u.  Levels of 1.0 or more never count,
+    so only those below 1 are compared, one pass each."""
+    n = np.zeros(u.size, dtype=np.int64)
+    for level in cum[cum < 1.0]:
+        n += u >= level
+    return n
 
-    def __init__(self):
-        self.rep, self.parent, self.birth = [], [], []
-        self.lifetime, self.disp, self.pos, self.alive = [], [], [], []
+
+def _number(rep: np.ndarray, next_id: np.ndarray):
+    """Ids for a nonempty wave's rows from their nondecreasing replicates,
+    continuing each replicate's count in `next_id`, which is advanced in
+    place.  Returns the ids and one past the largest id in the wave."""
+    bounds = np.concatenate(([0], np.flatnonzero(rep[1:] != rep[:-1]) + 1, [rep.size]))
+    first, sizes = bounds[:-1], np.diff(bounds)
+    grp = rep[first]
+    base = next_id[grp]
+    local = np.repeat(base - first, sizes)
+    local += np.arange(rep.size)
+    base += sizes
+    next_id[grp] = base
+    return local, int(base.max())
+
+
+def _id_hashes(table: np.ndarray, top: int) -> np.ndarray:
+    """_mix(id ^ _CHILD_SALT), the particle-id half of derive_key, for every id
+    below `top`: `table` if it is long enough, else one at least twice as long."""
+    if top <= table.size:
+        return table
+    return _mix(np.arange(max(top, 2 * table.size), dtype=np.uint64) ^ _CHILD_SALT)
 
 
 def _batch_simulate(
@@ -134,7 +161,8 @@ def _batch_simulate(
 ):
     """Simulate every replicate in the batch to `horizon`.
 
-    run_keys: one uint64 key per replicate.  Roots must be sorted by rep.
+    run_keys: one uint64 key per replicate.  Roots must be sorted by rep, so
+    that every wave's rows are and a wave costs O(its rows), not O(n_rep).
     mode: "arena" returns the per-particle columns in wave order, their
     stable order by rep and per-rep bounds into that order; "snapshot"
     returns alive rows only; "counts" returns N_t per replicate.  The last
@@ -145,27 +173,26 @@ def _batch_simulate(
     motion = model.motion
     cum = model.offspring.cumulative()
     horizon = float(horizon)
-    if horizon < 0:
+    if not horizon >= 0:
         raise ConfigError(f"horizon {horizon} must be nonnegative")
 
     rep = np.asarray(root_rep, dtype=np.int64)
-    parent = np.full(rep.size, -1, dtype=np.int64)
     birth = np.asarray(root_birth, dtype=float)
     pos_start = np.asarray(root_position, dtype=float)
+    parent = np.full(rep.size, -1, dtype=np.int64) if mode == "arena" else None
+    next_id = np.zeros(n_rep, dtype=np.int64)
+    id_hash = np.empty(0, np.uint64)
 
-    root_counts = np.bincount(rep, minlength=n_rep)
-    starts = np.concatenate(([0], np.cumsum(root_counts)))[:-1]
-    local = np.arange(rep.size, dtype=np.int64) - starts[rep]
-    next_id = root_counts.astype(np.int64)
-
-    records = np.zeros(n_rep, dtype=np.int64)
-    counts_alive = np.zeros(n_rep, dtype=np.int64)
-    acc = _ArenaAccum() if mode == "arena" else None
-    snap_rep, snap_birth, snap_pos = [], [], []
+    rows_total = 0  # a replicate's rows so far, next_id[r], never exceed the batch's
+    acc = {k: [] for k in ("rep", "parent", "birth", "lifetime", "disp", "pos", "alive")}
+    alive_rep = [np.empty(0, np.int64)]
+    snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
 
     wave = 0
     while rep.size:
-        keys = _derive_fast(run_keys[rep], local.view(np.uint64))
+        local, top = _number(rep, next_id)
+        id_hash = _id_hashes(id_hash, top)
+        keys = _mix(run_keys[rep] ^ id_hash[local])
 
         u_life = slot_uniform(keys, _H_LIFETIME)
         if wave == 0:
@@ -186,81 +213,49 @@ def _batch_simulate(
         disp = np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z
         pos_end = pos_start + disp
 
-        records += np.bincount(rep, minlength=n_rep)
-        if np.any(records > particle_cap):
-            bad = np.flatnonzero(records > particle_cap)
+        rows_total += rep.size
+        if rows_total > particle_cap and np.any(next_id > particle_cap):
+            bad = np.flatnonzero(next_id > particle_cap)
             raise CapExceeded(rep_labels[bad] if rep_labels is not None else bad)
 
         if mode == "arena":
-            acc.rep.append(rep)
-            acc.parent.append(parent)
-            acc.birth.append(birth)
-            acc.lifetime.append(lifetime)
-            acc.disp.append(disp)
-            acc.pos.append(pos_end)
-            acc.alive.append(alive)
+            for col, v in zip(acc.values(), (rep, parent, birth, lifetime, disp, pos_end, alive)):
+                col.append(v)
         elif mode == "snapshot":
-            snap_rep.append(rep[alive])
             snap_birth.append(birth[alive])
             snap_pos.append(pos_end[alive])
-        counts_alive += np.bincount(rep[alive], minlength=n_rep)
+        alive_rep.append(rep[alive])
 
         dead = ~alive
         if not np.any(dead):
             break
         u_off = slot_uniform(keys[dead], _H_OFFSPRING)
-        n_children = np.searchsorted(cum, u_off, side="right").astype(np.int64)
+        n_children = _offspring_count(u_off, cum)
         has = n_children > 0
         if not np.any(has):
             break
         src = np.flatnonzero(dead)[has]
         kids = n_children[has]
-        child_rep = np.repeat(rep[src], kids)
-        child_parent = np.repeat(local[src], kids)
-        child_birth = np.repeat(death[src], kids)
-        child_pos = np.repeat(pos_end[src], kids)
-
-        grp_counts = np.bincount(child_rep, minlength=n_rep)
-        grp_starts = np.concatenate(([0], np.cumsum(grp_counts)))[:-1]
-        child_local = next_id[child_rep] + (
-            np.arange(child_rep.size, dtype=np.int64) - grp_starts[child_rep]
-        )
-        next_id += grp_counts
-
-        rep, parent, birth, pos_start, local = (
-            child_rep,
-            child_parent,
-            child_birth,
-            child_pos,
-            child_local,
-        )
+        if mode == "arena":
+            parent = np.repeat(local[src], kids)
+        rep = np.repeat(rep[src], kids)
+        birth = np.repeat(death[src], kids)
+        pos_start = np.repeat(pos_end[src], kids)
         wave += 1
 
+    alive_rep = np.concatenate(alive_rep)
+    counts_alive = np.bincount(alive_rep, minlength=n_rep)
     if mode == "counts":
         return counts_alive
     if mode == "snapshot":
-        if snap_rep:
-            return (
-                np.concatenate(snap_rep),
-                horizon - np.concatenate(snap_birth),
-                np.concatenate(snap_pos),
-                counts_alive,
-            )
-        return np.empty(0, np.int64), np.empty(0), np.empty(0), counts_alive
+        ages = horizon - np.concatenate(snap_birth)
+        return alive_rep, ages, np.concatenate(snap_pos), counts_alive
 
     # replicate r's rows, in id order, are order[bounds[r]:bounds[r + 1]]
-    rep = np.concatenate(acc.rep)
+    rep = np.concatenate(acc.pop("rep"))
     order = np.argsort(rep, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(rep, minlength=n_rep))))
-    cols = {
-        "parent": np.concatenate(acc.parent),
-        "birth": np.concatenate(acc.birth),
-        "lifetime": np.concatenate(acc.lifetime),
-        "disp": np.concatenate(acc.disp),
-        "pos": np.concatenate(acc.pos),
-        "alive": np.concatenate(acc.alive),
-    }
-    return cols, order, bounds, counts_alive
+    return {k: np.concatenate(v) for k, v in acc.items()}, order, bounds, counts_alive
 
 
 def _single_root_arrays(n_rep: int, model: ValidatedModel):
@@ -452,6 +447,8 @@ def iter_runs(
     driver, so the two agree run for run, and a conditioned run matches
     `run_conditioned` exactly.
     """
+    if reps < 1:
+        raise ConfigError(f"reps {reps} must be positive")
     for start in range(0, reps, _RUN_BLOCK):
         stop = min(start + _RUN_BLOCK, reps)
         results: dict[int, RunRecord] = {}

@@ -190,6 +190,9 @@ def test_superprocess_bad_f_exits_2():
     "loglaplace --t 1 --dt 0.5 --lambda -1",
     "simulate --t 1 --seed 1 --model /nonexistent",
     "simulate --t -1 --seed 1",
+    "simulate --t nan --seed 1",
+    "simulate --t 1 --reps -2 --seed 1",
+    "coalescent --t 5 --reps 0 --seed 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 0",
     "coalescent --t 5 --reps 3 --seed 1 --k -1",

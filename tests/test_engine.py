@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import heapq
 import math
 import tracemalloc
@@ -39,6 +40,7 @@ from branchlab.model import (
 )
 from branchlab.rng import stream
 from branchlab.stats import birth_death_conditioned_pmf, chi_square_gof
+from branchlab.superprocess import ScalingFamily, scaled_fields
 
 MODEL = binary_exponential_model()
 
@@ -82,16 +84,18 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
     monkeypatch.setattr(engine, "slot_uniform", no_wave)
     one = np.zeros(1, dtype=np.int64)
     drivers = [
-        lambda: run_once(MODEL, -1.0, stream(1)),
-        lambda: next(iter_runs(MODEL, -1.0, stream(1), 2)),
-        lambda: next(iter_runs(MODEL, -0.5, stream(1), 2, conditioned=True)),
-        lambda: survival_counts(MODEL, -1.0, stream(1), 10),
-        lambda: conditioned_counts(MODEL, -1.0, stream(1), 10),
-        lambda: simulate_fields(MODEL, -1.0, np.ones(1, dtype=np.uint64), one, np.zeros(1), np.zeros(1)),
+        lambda t: run_once(MODEL, t, stream(1)),
+        lambda t: next(iter_runs(MODEL, t, stream(1), 2)),
+        lambda t: next(iter_runs(MODEL, t / 2, stream(1), 2, conditioned=True)),
+        lambda t: survival_counts(MODEL, t, stream(1), 10),
+        lambda t: conditioned_counts(MODEL, t, stream(1), 10),
+        lambda t: simulate_fields(MODEL, t, np.ones(1, dtype=np.uint64), one,
+                                  np.zeros(1), np.zeros(1)),
     ]
-    for driver in drivers:
-        with pytest.raises(ConfigError, match="nonnegative"):
-            driver()
+    for t in (-1.0, math.nan):
+        for driver in drivers:
+            with pytest.raises(ConfigError, match="nonnegative"):
+                driver(t)
 
 
 def test_seed_7_0_identical_arenas():
@@ -153,6 +157,52 @@ def test_iter_runs_cap_names_the_global_replicate(monkeypatch):
     assert exc.value.replicates == [worst]
 
 
+def test_cap_counts_every_row_of_one_replicate(monkeypatch):
+    t, reps, rng = 6.0, 40, stream(22)
+    # survival_counts keys replicate r by rng.child(r).child(0), simulate_fields
+    # by the key it is given; run_once counts the same rows for either
+    sizes = np.array([len(run_once(MODEL, t, rng.child(r).child(0)).arena) for r in range(reps)])
+    keys = np.array([rng.child(r).child(0).key for r in range(reps)], dtype=np.uint64)
+    roots = np.arange(reps, dtype=np.int64)
+    worst = int(np.argmax(sizes))
+
+    def fields():
+        return simulate_fields(MODEL, t, keys, roots, np.zeros(reps), np.zeros(reps))
+
+    counts, alive = survival_counts(MODEL, t, rng, reps), fields()[3]
+    assert np.array_equal(counts, alive)
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", int(sizes.max()))
+    assert sizes.sum() > engine.DEFAULT_PARTICLE_CAP  # the batch passes the cap, no replicate does
+    assert np.array_equal(survival_counts(MODEL, t, rng, reps), counts)
+    assert np.array_equal(fields()[3], counts)
+
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", int(sizes.max()) - 1)
+    assert np.sum(sizes > engine.DEFAULT_PARTICLE_CAP) == 1
+    with pytest.raises(CapExceeded) as exc:
+        survival_counts(MODEL, t, rng, reps)
+    assert exc.value.replicates == [worst]
+    with pytest.raises(CapExceeded) as exc:
+        fields()
+    assert exc.value.replicates == [worst]
+
+
+@pytest.mark.parametrize("probabilities", [
+    (0.5, 0.0, 0.5),
+    (2 / 3, 0.0, 0.0, 1 / 3),
+    (0.4, 0.4, 0.0, 0.2),
+    (0.25, 0.75, 0.0, 0.0),  # reaches 1.0 before its last entry
+    (0.1, 0.2, 0.3, 0.4),
+])
+def test_offspring_count_equals_searchsorted(probabilities):
+    cum = OffspringLaw(probabilities).cumulative()
+    levels = cum[cum < 1.0]
+    on_and_around = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+    extremes = [0.5 * 2.0**-53, (2.0**53 - 0.5) * 2.0**-53]  # slot_uniform's range
+    u = np.concatenate([on_and_around, extremes, np.random.default_rng(0).random(10_000)])
+    u = u[(u > 0) & (u < 1)]
+    assert np.array_equal(engine._offspring_count(u, cum), np.searchsorted(cum, u, side="right"))
+
+
 def test_unconditioned_mean_survivor_position_zero():
     pos = []
     for run in iter_runs(MODEL, 10.0, stream(17), 4000):
@@ -160,6 +210,52 @@ def test_unconditioned_mean_survivor_position_zero():
             pos.append(float(run.snapshot.positions.mean()))
     pos = np.asarray(pos)
     assert abs(pos.mean()) < 4 * pos.std() / math.sqrt(pos.size)
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _wave_core_digests():
+    ternary = validate_model(
+        ModelSpec(Exponential(1.0), OffspringLaw((0.4, 0.4, 0.0, 0.2)), Brownian(1.0))
+    )
+    aged = validate_model(
+        ModelSpec(UniformLifetime(0.5, 2.0), OffspringLaw((0.25, 0.5, 0.25)), Brownian(0.5),
+                  initial_age=1.0, initial_position=0.5)
+    )
+    arena_cols = []
+    for run in iter_runs(aged, 6.0, stream(13), 40, conditioned=True):
+        a = run.arena
+        arena_cols += [a.parent, a.birth, a.lifetime, a.displacement, a.position, a.alive,
+                       np.array([run.attempts])]
+    batches = scaled_fields(ScalingFamily(n=20), 1.0, 70, stream(5))  # multi-root replicates
+    fields = [col for batch in batches for col in batch]
+    return {
+        "survival_counts": _digest([survival_counts(MODEL, 20.0, stream(1), 20_000)]),
+        "conditioned_counts": _digest(conditioned_counts(ternary, 10.0, stream(2), 2000)),
+        "iter_runs_arena": _digest(arena_cols),
+        "simulate_fields": _digest(fields),
+    }
+
+
+# sha256 of each output's dtypes and bytes: outputs are pinned for a given
+# seed, so a change to the wave core must reproduce every digest
+WAVE_CORE_DIGESTS = {
+    "survival_counts": "89851cd8dab6fb1bd36530b90a2b2a37ff9d4ce2584506be5399a37e760d75b4",
+    "conditioned_counts": "4e325165c785e85569ceef48d597147b4ced1a698a583a08d12d309221445933",
+    "iter_runs_arena": "1df65fd715e463442b13d5378a937006687d1b90d643fc539afdaa839865b074",
+    "simulate_fields": "6dcb063389f5761302363a65c752fc17a07de037e32b3699f2f3c609ccfaec2b",
+}
+
+
+def test_wave_core_outputs_pinned():
+    assert _wave_core_digests() == WAVE_CORE_DIGESTS
 
 
 # --- determinism across drivers ---------------------------------------------
