@@ -11,7 +11,6 @@ from .model import (  # noqa: F401
     ModelSpec,
     MotionLaw,
     OffspringLaw,
-    TimeInhomogeneous,
     UniformLifetime,
     ValidatedModel,
     binary_exponential_model,

@@ -14,13 +14,14 @@ equal replicates, so a wave costs O(its own rows) however big the batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ConfigError, MotionLaw, ValidatedModel
+from .model import ConfigError, ValidatedModel
 from .rng import _CHILD_SALT, RandomStream, _derive_fast, _mix, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
@@ -47,10 +48,6 @@ class MaxAttemptsExceeded(RuntimeError):
     pass
 
 
-class HorizonExceeded(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # result containers
 # ---------------------------------------------------------------------------
@@ -64,22 +61,15 @@ class GenealogyArena:
 
     `lifetime` stores the full drawn lifetime even when the particle outlives
     the horizon; `displacement` covers motion from max(birth, 0) to
-    min(death, horizon).  `position` caches the particle's location at the
-    end of that covered span (prefix sum of displacements along its
-    ancestry).  The motion law rides along so intermediate-time snapshots can
-    draw exact bridges.
+    min(death, horizon).
     """
 
     parent: np.ndarray
     birth: np.ndarray
     lifetime: np.ndarray
     displacement: np.ndarray
-    position: np.ndarray
     alive: np.ndarray
     horizon: float
-    initial_age: float
-    initial_position: float
-    motion: MotionLaw
 
     def __len__(self) -> int:
         return self.parent.size
@@ -173,8 +163,8 @@ def _batch_simulate(
     motion = model.motion
     cum = model.offspring.cumulative()
     horizon = float(horizon)
-    if not horizon >= 0:
-        raise ConfigError(f"horizon {horizon} must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise ConfigError(f"horizon {horizon} must be finite and nonnegative")
 
     rep = np.asarray(root_rep, dtype=np.int64)
     birth = np.asarray(root_birth, dtype=float)
@@ -265,12 +255,13 @@ def _single_root_arrays(n_rep: int, model: ValidatedModel):
     return rep, birth, pos
 
 
-def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]:
+def _extract_runs(horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]:
     """RunRecords for the replicates `rows` of an arena batch.
 
     One gather per column takes exactly these runs' rows, run after run, so
     the records keep none of the batch's other rows (rejected attempts
     included) alive; each record's arrays are slices of those gathers.
+    Positions are only gathered for the alive rows, which the snapshots hold.
     """
     cols, order, bounds, _ = batch
     horizon = float(horizon)
@@ -278,12 +269,12 @@ def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[Run
     ends = np.cumsum(hi - lo)
     starts = ends - (hi - lo)
     idx = np.concatenate([order[:0]] + [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
-    kept = {k: c.take(idx) for k, c in cols.items()}
+    kept = {k: cols[k].take(idx) for k in ("parent", "birth", "lifetime", "disp", "alive")}
     alive_at = np.flatnonzero(kept["alive"])
     alive_bounds = np.searchsorted(alive_at, np.append(starts, idx.size))
     ids = alive_at - np.repeat(starts, np.diff(alive_bounds))
     ages = horizon - kept["birth"][alive_at]
-    positions = kept["pos"][alive_at]
+    positions = cols["pos"].take(idx[alive_at])
 
     runs = []
     for i, (s, e, a, b) in enumerate(
@@ -294,12 +285,8 @@ def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[Run
             birth=kept["birth"][s:e],
             lifetime=kept["lifetime"][s:e],
             displacement=kept["disp"][s:e],
-            position=kept["pos"][s:e],
             alive=kept["alive"][s:e],
             horizon=horizon,
-            initial_age=model.initial_age,
-            initial_position=model.initial_position,
-            motion=model.motion,
         )
         snapshot = Snapshot(ages=ages[a:b], positions=positions[a:b], ids=ids[a:b], horizon=horizon)
         runs.append(RunRecord(arena=arena, snapshot=snapshot, attempts=attempts[i], seed_path=seed_paths[i]))
@@ -321,7 +308,7 @@ def run_once(
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
     batch = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")
-    return _extract_runs(model, horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
+    return _extract_runs(horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
 
 
 def run_conditioned(
@@ -457,7 +444,7 @@ def iter_runs(
         ):
             done = done.tolist()
             paths = [rng.path + (r,) for r in done]
-            runs = _extract_runs(model, horizon, batch, rows, attempts.tolist(), paths)
+            runs = _extract_runs(horizon, batch, rows, attempts.tolist(), paths)
             results.update(zip(done, runs))
             del batch
         for r in range(start, stop):
@@ -481,58 +468,6 @@ def simulate_fields(
     keys = np.asarray(run_keys, dtype=np.uint64)
     return _batch_simulate(model, horizon, keys, root_rep, root_birth, root_position,
                            DEFAULT_PARTICLE_CAP, "snapshot")
-
-
-# ---------------------------------------------------------------------------
-# intermediate-time reconstruction
-# ---------------------------------------------------------------------------
-
-
-def snapshot_at(arena: GenealogyArena, t: float, rng: Optional[RandomStream] = None) -> Snapshot:
-    """Reconstruct the alive configuration at time t <= horizon.
-
-    Lives straddling t get their partial displacement from the Gaussian
-    bridge consistent with the recorded full-span displacement: for elapsed
-    motion s out of a covered span of length L with recorded displacement D,
-    the increment is Normal((v(s)/v(L)) D, v(s)(1 - v(s)/v(L))).  Exact for
-    every Gaussian-increment motion law.  Bridge draws are keyed by
-    (rng.key, particle id); rng may be omitted when no life straddles t
-    (t = horizon, or t at the root's birth).
-    """
-    if t > arena.horizon:
-        raise HorizonExceeded(f"t={t} beyond arena horizon {arena.horizon}")
-    if t < -arena.initial_age:
-        raise ValueError("t precedes the root's birth")
-
-    death = arena.birth + arena.lifetime
-    alive_t = (arena.birth <= t) & (t < death)
-    ids = np.flatnonzero(alive_t)
-
-    birth = arena.birth[ids]
-    motion_start = np.maximum(birth, 0.0)
-    covered_end = np.minimum(death[ids], arena.horizon)
-    elapsed = np.clip(t - motion_start, 0.0, None)
-    span = covered_end - motion_start
-    positions = arena.position[ids].copy()
-
-    partial = elapsed < span
-    if np.any(partial):
-        if rng is None:
-            raise ValueError("snapshot_at needs a RandomStream when t splits lives")
-        pidx = np.flatnonzero(partial)
-        sub = ids[pidx]
-        vs = np.asarray(arena.motion.variance(elapsed[pidx]), dtype=float)
-        vL = np.asarray(arena.motion.variance(span[pidx]), dtype=float)
-        safe = np.where(vL > 0, vL, 1.0)
-        ratio = np.where(vL > 0, vs / safe, 0.0)
-        mean = ratio * arena.displacement[sub]
-        var = np.maximum(vs * (1.0 - ratio), 0.0)
-        bridge_keys = derive_key(np.uint64(rng.key), sub.astype(np.uint64))
-        z = ndtri(slot_uniform(bridge_keys, _H_LIFETIME))
-        pos_start = arena.position[sub] - arena.displacement[sub]
-        positions[pidx] = pos_start + mean + np.sqrt(var) * z
-
-    return Snapshot(ages=t - birth, positions=positions, ids=ids, horizon=float(t))
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,11 @@ class CoalescentSample:
     """k sampled survivors with their ancestral split times.
 
     tau holds the k-1 split birth times in ascending order (a split node
-    with c sampled child branches appears c-1 times).  pairwise[i, j] is the
-    birth time of the MRCA of survivors i and j; the diagonal is NaN.
+    with c sampled child branches appears c-1 times).
     """
 
     ids: np.ndarray
     tau: np.ndarray
-    pairwise: np.ndarray
 
 
 def sample_survivors(run: RunRecord, k: int, rng: RandomStream) -> np.ndarray:
@@ -106,33 +104,25 @@ def ancestral_line(run: RunRecord, pid: int) -> AncestralLine:
 
 
 def coalescence_times(run: RunRecord, ids) -> CoalescentSample:
-    """Split-time vector and pairwise MRCA birth times for sampled survivors.
+    """Split-time vector for sampled survivors.
 
     The tau vector is read off the induced ancestral subtree: every node
     through which at least two distinct sampled lineages pass contributes its
     birth time once per extra branch, giving exactly k-1 entries.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    k = ids.size
-    if np.unique(ids).size != k:
+    if np.unique(ids).size != ids.size:
         raise DuplicateIds(f"sampled ids contain duplicates: {ids.tolist()}")
     arena = run.arena
     for pid in ids:
         if pid < 0 or pid >= len(arena) or not arena.alive[pid]:
             raise NotAlive(f"particle {int(pid)} is not alive at the horizon")
 
-    paths = [_path_to_root(run, int(pid)) for pid in ids]
-
-    pairwise = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairwise[i, j] = pairwise[j, i] = arena.birth[_mrca(paths[i], paths[j])]
-
     # sorted root-first paths are in depth-first order, so the MRCAs of
     # neighbours visit each split node once per extra sampled branch
-    paths.sort()
+    paths = sorted(_path_to_root(run, int(pid)) for pid in ids)
     tau = sorted(float(arena.birth[_mrca(a, b)]) for a, b in zip(paths, paths[1:]))
-    return CoalescentSample(ids=ids.copy(), tau=np.asarray(tau), pairwise=pairwise)
+    return CoalescentSample(ids=ids.copy(), tau=np.asarray(tau))
 
 
 def coalescent_csv_rows(samples, horizon: float) -> str:

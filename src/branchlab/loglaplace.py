@@ -47,8 +47,8 @@ class GridSpec:
             raise ConfigError("need x_lo < x_hi")
         if self.nx < 16:
             raise ConfigError("need nx >= 16")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigError("dt and T must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ConfigError("dt and T must be positive and finite")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-12 * max(1.0, self.T):
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")

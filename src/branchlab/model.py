@@ -1,10 +1,10 @@
 """The branching-model triple: lifetime law, offspring law, motion law.
 
 Lifetime laws are restricted to a closed-form family (exponential, gamma,
-uniform, deterministic) so mean, CDF and quantiles are exact.  Motion laws
-are Gaussian-increment processes sampled at life endpoints: the displacement
-over a duration d is a single Normal(0, v(d)) draw, which is exact for
-Brownian and time-inhomogeneous diffusions and needs no path discretization.
+uniform, deterministic) so mean, CDF and quantiles are exact.  Motion is
+Brownian, sampled at life endpoints: the displacement over a duration d is a
+single Normal(0, v(d)) draw, which is exact and needs no path
+discretization.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +20,6 @@ from scipy.special import gammainc, gammaincinv
 
 CRITICALITY_TOL = 1e-9
 MASS_TOL = 1e-12
-PSI_REL_TOL = 1e-8
 _TAIL_EPS = 1e-12
 
 
@@ -38,10 +36,6 @@ class MassAtZeroLifetime(ModelError):
 
 
 class DegenerateOffspring(ModelError):
-    pass
-
-
-class InfinitePsi(ModelError):
     pass
 
 
@@ -248,39 +242,6 @@ class Brownian(MotionLaw):
         return f"bm:{self.diffusion!r}"
 
 
-@dataclass(frozen=True)
-class TimeInhomogeneous(MotionLaw):
-    """Diffusion with scale sigma(u); v(t) = integral of sigma^2 over [0, t].
-
-    v is evaluated by adaptive quadrature per distinct duration, so this law
-    is intended for moderate sample counts or repeated durations; Brownian is
-    the fast path for large simulations.
-    """
-
-    sigma_fn: Callable[[float], float]
-    name: str = "sigma"
-
-    def variance(self, durations):
-        d = np.asarray(durations, dtype=float)
-        scalar = d.ndim == 0
-        d = np.atleast_1d(d)
-        out = np.empty_like(d)
-        cache: dict[float, float] = {}
-        for i, t in enumerate(d):
-            t = float(t)
-            if t not in cache:
-                if t == 0.0:
-                    cache[t] = 0.0
-                else:
-                    val, _ = quad(lambda u: self.sigma_fn(u) ** 2, 0.0, t, limit=200)
-                    cache[t] = val
-            out[i] = cache[t]
-        return float(out[0]) if scalar else out
-
-    def label(self):
-        return f"inhom:{self.name}"
-
-
 # ---------------------------------------------------------------------------
 # model spec and validation
 # ---------------------------------------------------------------------------
@@ -321,44 +282,11 @@ class ValidatedModel:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def psi_quadrature(lifetime: LifetimeLaw, motion: MotionLaw, rel_tol: float = PSI_REL_TOL) -> float:
-    """psi = integral of v(s) dG(s), evaluated as integral of sigma^2(u)(1-G(u)) du.
-
-    The identity (integration by parts, v(0) = 0) turns the Stieltjes integral
-    into an ordinary one, truncated where 1 - G drops below 1e-12.  For
-    unbounded lifetime supports, a growing contribution beyond the truncation
-    point flags a divergent integral.
-    """
-    hi = lifetime.support_hi()
-    if isinstance(motion, Brownian):
-        d = motion.diffusion
-        integrand = lambda u: d * float(1.0 - lifetime.cdf(u))
-    else:
-        integrand = lambda u: motion.sigma_fn(u) ** 2 * float(1.0 - lifetime.cdf(u))
-    import warnings
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                val, err = quad(integrand, 0.0, hi, epsrel=rel_tol, limit=500)
-                bounded = isinstance(lifetime, (UniformLifetime, Deterministic))
-                tail = 0.0 if bounded else quad(integrand, hi, 2.0 * hi, epsrel=1e-3, limit=200)[0]
-        except Exception as exc:  # quadrature blow-up
-            raise InfinitePsi(f"psi quadrature failed: {exc}") from exc
-    if not math.isfinite(val) or val <= 0:
-        raise InfinitePsi(f"psi quadrature gave {val!r}")
-    if not math.isfinite(tail) or tail > 10.0 * rel_tol * val + 1e-12:
-        raise InfinitePsi(
-            f"integrand still contributes {tail!r} beyond the 1-1e-12 lifetime quantile"
-        )
-    return val
-
-
 def validate_model(spec: ModelSpec) -> ValidatedModel:
     """Check the (G, p, eta) triple and compute (mu, sigma2, psi).
 
-    Raises NotCritical, MassAtZeroLifetime, DegenerateOffspring or InfinitePsi.
+    Raises NotCritical, MassAtZeroLifetime, DegenerateOffspring or another
+    ModelError.
     """
     if float(spec.lifetime.cdf(0.0)) > 0.0:
         raise MassAtZeroLifetime("lifetime law puts mass at zero")
@@ -376,10 +304,9 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     if sigma2 <= 0:
         raise DegenerateOffspring(f"offspring variance {sigma2!r} must be positive")
 
-    if isinstance(spec.motion, Brownian):
-        psi = spec.motion.diffusion * mu
-    else:
-        psi = psi_quadrature(spec.lifetime, spec.motion)
+    if not isinstance(spec.motion, Brownian):
+        raise ModelError(f"motion {type(spec.motion).__name__} is not Brownian, the only law supported")
+    psi = spec.motion.diffusion * mu
 
     if not (spec.initial_age >= 0):
         raise ModelError("initial age must be nonnegative")
@@ -398,22 +325,12 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     )
 
 
-def binary_exponential_model(
-    lam: float = 1.0, diffusion: float = 1.0, initial_age: float = 0.0, initial_position: float = 0.0
-) -> ValidatedModel:
-    """Reference model: exponential(lam) lifetimes, (1/2, 0, 1/2) offspring,
-    Brownian(diffusion) motion.  For lam = diffusion = 1 all three derived
+def binary_exponential_model() -> ValidatedModel:
+    """Reference model: exponential(1) lifetimes, (1/2, 0, 1/2) offspring,
+    Brownian(1) motion, root of age 0 at the origin.  All three derived
     constants equal 1 and the population process is a linear birth-death chain
     with exact closed-form laws, which the test suites lean on heavily."""
-    return validate_model(
-        ModelSpec(
-            lifetime=Exponential(lam),
-            offspring=OffspringLaw((0.5, 0.0, 0.5)),
-            motion=Brownian(diffusion),
-            initial_age=initial_age,
-            initial_position=initial_position,
-        )
-    )
+    return validate_model(ModelSpec(Exponential(1.0), OffspringLaw((0.5, 0.0, 0.5)), Brownian(1.0)))
 
 
 # ---------------------------------------------------------------------------

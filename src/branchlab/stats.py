@@ -210,8 +210,9 @@ def cvm_limit_cdf(x: float) -> float:
     return float(total / (math.pi * math.sqrt(x)))
 
 
-def cvm_critical_value(level: float = LEVEL) -> float:
-    return float(brentq(lambda x: cvm_limit_cdf(x) - (1.0 - level), 0.02, 10.0, xtol=1e-10))
+def cvm_critical_value() -> float:
+    """Upper LEVEL quantile of the asymptotic Cramer-von Mises law."""
+    return float(brentq(lambda x: cvm_limit_cdf(x) - (1.0 - LEVEL), 0.02, 10.0, xtol=1e-10))
 
 
 def cvm_two_sample(x, y) -> TestReport:
@@ -230,7 +231,7 @@ def cvm_two_sample(x, y) -> TestReport:
     u = n * np.sum((rx - i) ** 2) + m * np.sum((ry - j) ** 2)
     big_n = n + m
     stat = u / (n * m * big_n) - (4 * n * m - 1) / (6.0 * big_n)
-    return _report(stat, cvm_critical_value(LEVEL), n + m, f"two-sample CvM at level {LEVEL}")
+    return _report(stat, cvm_critical_value(), n + m, f"two-sample CvM at level {LEVEL}")
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ def scaled_fields(family: ScalingFamily, t: float, reps: int, rng: RandomStream)
     batch, rep counted from the batch's first field; each alive particle
     carries weight 1/n.  A CapExceeded names fields by their index in 0..reps-1.
     """
-    if t < EPSILON:
-        raise ConfigError(f"macroscopic time {t} below the cutoff {EPSILON}")
+    if not EPSILON <= t < math.inf:
+        raise ConfigError(f"macroscopic time {t} must be finite and at least the cutoff {EPSILON}")
     if reps < 1:
         raise ConfigError("reps must be positive")
     model = family.model()

@@ -182,17 +182,22 @@ def test_superprocess_bad_f_exits_2():
     "superprocess --n 10 --t 1 --reps 0 --seed 1",
     "superprocess --n 10 --t 1 --lambda 0 --seed 1",
     "superprocess --n 10 --t 1 --f const:abc --seed 1",
+    "superprocess --n 10 --t inf --seed 1",
     "loglaplace --t 1 --dt 0.3",
     "loglaplace --t 1 --nx 8",
     "loglaplace --t 1 --nx 16",
     "loglaplace --t 1 --f nope",
     "loglaplace --t 1 --dt 0.5 --f const:5",
     "loglaplace --t 1 --dt 0.5 --lambda -1",
+    "loglaplace --t inf",
+    "loglaplace --t 1 --dt nan",
     "simulate --t 1 --seed 1 --model /nonexistent",
     "simulate --t -1 --seed 1",
     "simulate --t nan --seed 1",
+    "simulate --t inf --seed 1",
     "simulate --t 1 --reps -2 --seed 1",
     "coalescent --t 5 --reps 0 --seed 1",
+    "coalescent --t inf --seed 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 0",
     "coalescent --t 5 --reps 3 --seed 1 --k -1",

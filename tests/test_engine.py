@@ -13,7 +13,6 @@ from branchlab import engine
 from branchlab.engine import (
     CapExceeded,
     GenealogyArena,
-    HorizonExceeded,
     MaxAttemptsExceeded,
     RunRecord,
     Snapshot,
@@ -24,7 +23,6 @@ from branchlab.engine import (
     run_once,
     run_to_jsonl,
     simulate_fields,
-    snapshot_at,
     survival_counts,
 )
 from branchlab.model import (
@@ -45,7 +43,7 @@ from branchlab.superprocess import ScalingFamily, scaled_fields
 MODEL = binary_exponential_model()
 
 
-def check_structure(run):
+def check_structure(run, model):
     a = run.arena
     n = len(a)
     assert a.parent[0] == -1
@@ -60,7 +58,7 @@ def check_structure(run):
     assert np.array_equal(run.snapshot.ids, ids)
     assert np.array_equal(run.snapshot.ages, a.horizon - a.birth[ids])
     assert np.all(run.snapshot.ages >= 0)
-    assert np.all(run.snapshot.ages <= a.horizon + a.initial_age)
+    assert np.all(run.snapshot.ages <= a.horizon + model.initial_age)
 
 
 # --- basics -----------------------------------------------------------------
@@ -92,7 +90,7 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
         lambda t: simulate_fields(MODEL, t, np.ones(1, dtype=np.uint64), one,
                                   np.zeros(1), np.zeros(1)),
     ]
-    for t in (-1.0, math.nan):
+    for t in (-1.0, math.nan, math.inf):
         for driver in drivers:
             with pytest.raises(ConfigError, match="nonnegative"):
                 driver(t)
@@ -101,7 +99,7 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
 def test_seed_7_0_identical_arenas():
     a = run_once(MODEL, 10.0, stream(7, 0))
     b = run_once(MODEL, 10.0, stream(7, 0))
-    for field in ("parent", "birth", "lifetime", "displacement", "position", "alive"):
+    for field in ("parent", "birth", "lifetime", "displacement", "alive"):
         assert np.array_equal(getattr(a.arena, field), getattr(b.arena, field))
     assert run_to_jsonl(a) == run_to_jsonl(b)
 
@@ -232,8 +230,8 @@ def _wave_core_digests():
     arena_cols = []
     for run in iter_runs(aged, 6.0, stream(13), 40, conditioned=True):
         a = run.arena
-        arena_cols += [a.parent, a.birth, a.lifetime, a.displacement, a.position, a.alive,
-                       np.array([run.attempts])]
+        arena_cols += [a.parent, a.birth, a.lifetime, a.displacement, run.snapshot.positions,
+                       a.alive, np.array([run.attempts])]
     batches = scaled_fields(ScalingFamily(n=20), 1.0, 70, stream(5))  # multi-root replicates
     fields = [col for batch in batches for col in batch]
     return {
@@ -249,7 +247,7 @@ def _wave_core_digests():
 WAVE_CORE_DIGESTS = {
     "survival_counts": "89851cd8dab6fb1bd36530b90a2b2a37ff9d4ce2584506be5399a37e760d75b4",
     "conditioned_counts": "4e325165c785e85569ceef48d597147b4ced1a698a583a08d12d309221445933",
-    "iter_runs_arena": "1df65fd715e463442b13d5378a937006687d1b90d643fc539afdaa839865b074",
+    "iter_runs_arena": "993117e4cec5d072b1b01ee54a5c48b9ece8b4049eb02d8c483e0e0ff50b6efb",
     "simulate_fields": "6dcb063389f5761302363a65c752fc17a07de037e32b3699f2f3c609ccfaec2b",
 }
 
@@ -307,7 +305,7 @@ def test_kept_runs_own_their_rows():
     owned, bases = 0, {}
     for run in runs:
         a, s = run.arena, run.snapshot
-        for c in (a.parent, a.birth, a.lifetime, a.displacement, a.position, a.alive,
+        for c in (a.parent, a.birth, a.lifetime, a.displacement, a.alive,
                   s.ages, s.positions, s.ids):
             owned += c.nbytes
             base = c if c.base is None else c.base
@@ -321,7 +319,7 @@ def test_kept_runs_own_their_rows():
 def test_structural_invariants_random_runs(seed, horizon):
     run = run_once(MODEL, horizon, stream(seed, 0))
     if len(run.arena):
-        check_structure(run)
+        check_structure(run, MODEL)
 
 
 @given(st.integers(0, 2**32))
@@ -329,7 +327,7 @@ def test_structural_invariants_random_runs(seed, horizon):
 def test_structure_deterministic_lifetimes(seed):
     m = validate_model(ModelSpec(Deterministic(1.0), OffspringLaw((0.5, 0.0, 0.5)), Brownian(1.0)))
     run = run_once(m, 5.5, stream(seed, 0))
-    check_structure(run)
+    check_structure(run, m)
     # all alive particles were born at integer times
     assert np.all(run.snapshot.ages == 0.5)
 
@@ -342,61 +340,9 @@ def test_structure_uniform_lifetimes_initial_age(seed):
                   initial_age=1.0)
     )
     run = run_once(m, 6.0, stream(seed, 0))
-    check_structure(run)
+    check_structure(run, m)
     # the root's total lifetime must exceed its initial age
     assert run.arena.lifetime[0] > 1.0
-
-
-# --- intermediate snapshots ---------------------------------------------------
-
-
-def test_snapshot_at_horizon_matches_stored():
-    run = run_conditioned(MODEL, 9.0, stream(21))
-    snap = snapshot_at(run.arena, 9.0)
-    assert np.array_equal(snap.ids, run.snapshot.ids)
-    assert np.array_equal(snap.ages, run.snapshot.ages)
-    assert np.array_equal(snap.positions, run.snapshot.positions)
-
-
-def test_snapshot_at_zero_is_root():
-    run = run_conditioned(MODEL, 9.0, stream(22))
-    snap = snapshot_at(run.arena, 0.0, stream(1000))
-    assert snap.ids.tolist() == [0]
-    assert snap.ages[0] == 0.0
-
-
-def test_snapshot_at_needs_stream_when_splitting():
-    run = run_conditioned(MODEL, 9.0, stream(23))
-    with pytest.raises(ValueError):
-        snapshot_at(run.arena, 4.5)
-
-
-def test_snapshot_at_beyond_horizon():
-    run = run_once(MODEL, 3.0, stream(24, 0))
-    with pytest.raises(HorizonExceeded):
-        snapshot_at(run.arena, 3.5)
-
-
-def test_snapshot_at_age_bounds_and_determinism():
-    run = run_conditioned(MODEL, 9.0, stream(25))
-    s1 = snapshot_at(run.arena, 4.0, stream(77))
-    s2 = snapshot_at(run.arena, 4.0, stream(77))
-    assert np.array_equal(s1.positions, s2.positions)
-    assert np.all((0 <= s1.ages) & (s1.ages <= 4.0))
-
-
-def test_bridge_marginal_variance():
-    # bridge reconstruction at time s must give X_s ~ Normal(0, s): check
-    # over many runs at a fixed interior time
-    t, s = 4.0, 1.7
-    vals = []
-    for i, run in enumerate(iter_runs(MODEL, t, stream(26), 4000, conditioned=True)):
-        snap = snapshot_at(run.arena, s, stream(27).child(i))
-        vals.extend(snap.positions.tolist())
-    vals = np.asarray(vals)
-    assert abs(vals.mean()) < 4 * vals.std() / math.sqrt(vals.size)
-    var_se = vals.var() * math.sqrt(2.0 / vals.size)
-    assert abs(vals.var() - s) < 6 * var_se
 
 
 # --- serialization -----------------------------------------------------------

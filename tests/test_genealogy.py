@@ -17,7 +17,7 @@ from branchlab.genealogy import (
     coalescent_csv_rows,
     sample_survivors,
 )
-from branchlab.model import Brownian, binary_exponential_model, parse_model_config, validate_model
+from branchlab.model import binary_exponential_model, parse_model_config, validate_model
 from branchlab.rng import stream
 
 MODEL = binary_exponential_model()
@@ -39,9 +39,7 @@ def manual_run(parent, birth, lifetime, horizon, displacement=None):
         base = 0.0 if parent[i] < 0 else pos[parent[i]]
         pos[i] = base + disp[i]
     arena = GenealogyArena(
-        parent=parent, birth=birth, lifetime=lifetime, displacement=disp, position=pos,
-        alive=alive, horizon=horizon, initial_age=0.0, initial_position=0.0,
-        motion=Brownian(1.0),
+        parent=parent, birth=birth, lifetime=lifetime, displacement=disp, alive=alive, horizon=horizon,
     )
     ids = arena.alive_ids()
     snap = Snapshot(ages=horizon - birth[ids], positions=pos[ids], ids=ids, horizon=horizon)
@@ -141,12 +139,10 @@ def test_sibling_pair():
     cs = coalescence_times(run, [1, 2])
     # split time is the parent's birth, not its death
     assert cs.tau.tolist() == [0.0]
-    assert cs.pairwise[0, 1] == 0.0
-    assert np.isnan(cs.pairwise[0, 0])
 
 
 def test_star_topology():
-    # root dies at 1 leaving four surviving children: all pairwise equal
+    # root dies at 1 leaving four surviving children: every split is the root's
     run = manual_run(
         parent=[-1, 0, 0, 0, 0],
         birth=[0.0, 1.0, 1.0, 1.0, 1.0],
@@ -155,8 +151,8 @@ def test_star_topology():
     )
     cs = coalescence_times(run, [1, 2, 3, 4])
     assert cs.tau.tolist() == [0.0, 0.0, 0.0]
-    off = cs.pairwise[~np.isnan(cs.pairwise)]
-    assert np.all(off == 0.0)
+    for pair in ([1, 2], [1, 4], [3, 2]):
+        assert coalescence_times(run, pair).tau.tolist() == [0.0]
 
 
 def test_two_level_tree():
@@ -169,9 +165,8 @@ def test_two_level_tree():
     )
     cs = coalescence_times(run, [2, 3, 4])
     assert cs.tau.tolist() == [0.0, 1.0]
-    assert cs.pairwise[1, 2] == 1.0  # MRCA of 3,4 is particle 1, born at 1.0
-    assert cs.pairwise[0, 1] == 0.0
-    assert cs.tau[-1] == np.nanmax(cs.pairwise)
+    assert coalescence_times(run, [3, 4]).tau.tolist() == [1.0]  # MRCA is particle 1, born at 1.0
+    assert coalescence_times(run, [2, 3]).tau.tolist() == [0.0]
 
 
 def test_three_branch_root_repeats_its_birth():
@@ -235,8 +230,8 @@ def test_dead_id_rejected():
 @given(st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_tau_consistency_random_runs(seed):
-    # brute-force recomputation: tau vector length, ordering, max == deepest
-    # pairwise split
+    # tau vector length and ordering; its last entry is the deepest split of
+    # any sampled pair, and every pair's split is among the entries
     run = run_conditioned(MODEL, 10.0, stream(seed))
     alive = run.arena.alive_ids()
     k = min(4, alive.size)
@@ -247,11 +242,10 @@ def test_tau_consistency_random_runs(seed):
     assert cs.tau.size == k - 1
     assert np.all(np.diff(cs.tau) >= 0)
     assert 0 <= cs.tau[0] and cs.tau[-1] <= run.arena.horizon
-    off = cs.pairwise[~np.isnan(cs.pairwise)]
-    assert cs.tau[-1] == off.max()
-    assert np.array_equal(cs.pairwise, cs.pairwise.T, equal_nan=True)
-    # every pairwise MRCA birth appears among the split times
-    assert np.all(np.isin(np.unique(off), cs.tau))
+    pair_tau = [float(coalescence_times(run, ids[[i, j]]).tau[0])
+                for i in range(k) for j in range(k) if i != j]
+    assert cs.tau[-1] == max(pair_tau)
+    assert np.all(np.isin(pair_tau, cs.tau))
 
 
 def test_no_ties_k3_binary_model():

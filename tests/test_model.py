@@ -12,19 +12,17 @@ from branchlab.model import (
     Deterministic,
     Exponential,
     Gamma,
-    InfinitePsi,
     MassAtZeroLifetime,
     ModelError,
     ModelSpec,
+    MotionLaw,
     NotCritical,
     OffspringLaw,
-    TimeInhomogeneous,
     UniformLifetime,
     binary_exponential_model,
     limit_age_cdf,
     limit_age_ppf,
     parse_model_config,
-    psi_quadrature,
     validate_model,
 )
 from branchlab.rng import stream
@@ -82,10 +80,13 @@ def test_mass_at_zero_lifetime_guard():
         validate_model(spec(lifetime=ZeroMass(1.0)))
 
 
-def test_infinite_psi():
-    motion = TimeInhomogeneous(lambda u: math.exp(u), name="blowup")
-    with pytest.raises(InfinitePsi):
-        validate_model(spec(lifetime=Exponential(0.5), motion=motion))
+def test_non_brownian_motion_rejected():
+    class Ballistic(MotionLaw):
+        def variance(self, durations):
+            return np.asarray(durations, dtype=float) ** 2
+
+    with pytest.raises(ModelError, match="not Brownian"):
+        validate_model(spec(motion=Ballistic()))
 
 
 def test_initial_age_beyond_support_rejected():
@@ -123,16 +124,15 @@ def test_sigma2_binary():
     ],
 )
 def test_psi_quadrature_matches_closed_form(lifetime, motion, expected):
-    # closed form: psi = diffusion * mu for Brownian motion
-    quad_val = psi_quadrature(lifetime, motion)
+    # validate_model's psi = diffusion * mu against psi = int v(s) dG(s)
+    # = int diffusion * (1 - G(u)) du by quadrature over the lifetime support
+    from scipy.integrate import quad
+
+    psi = validate_model(spec(lifetime=lifetime, motion=motion)).psi
+    quad_val = quad(lambda u: motion.diffusion * float(1.0 - lifetime.cdf(u)),
+                    0.0, lifetime.support_hi(), epsrel=1e-8, limit=500)[0]
+    assert abs(psi - expected) / expected < 1e-12
     assert abs(quad_val - expected) / expected < 1e-6
-
-
-def test_psi_time_inhomogeneous():
-    # sigma(u) = u with exponential(1) lifetimes: psi = int u^2 e^{-u} du = 2
-    motion = TimeInhomogeneous(lambda u: u, name="linear")
-    val = psi_quadrature(Exponential(1.0), motion)
-    assert abs(val - 2.0) < 1e-6
 
 
 # --- limit age law ----------------------------------------------------------
@@ -197,16 +197,6 @@ def test_displacement_variance_brownian():
     z = 2.0 * normal_at(keys, 0)  # duration 4, diffusion 1 -> sd 2
     assert abs(z.var() - 4.0) < 0.03
     assert abs(z.mean()) < 4 * 2.0 / np.sqrt(z.size)
-
-
-def test_displacement_variance_time_inhomogeneous():
-    from branchlab.rng import normal_at, mix64
-
-    m = validate_model(spec(motion=TimeInhomogeneous(lambda u: u, name="linear")))
-    target = 8.0 / 3.0  # int_0^2 u^2 du
-    assert np.allclose(m.motion.variance(np.array([0.0, 2.0, 2.0])), [0.0, target, target], rtol=1e-12)
-    draws = math.sqrt(m.motion.variance(2.0)) * normal_at(mix64(np.arange(4000, dtype=np.uint64)), 0)
-    assert abs(draws.var() - target) < 4 * target * np.sqrt(2 / draws.size)
 
 
 # --- config grammar ---------------------------------------------------------

@@ -165,8 +165,7 @@ def test_cvm_limit_cdf_against_scipy():
 
 
 def test_cvm_critical_value_monotone():
-    assert cvm_critical_value(0.01) < cvm_critical_value(0.001)
-    assert cvm_critical_value(0.001) == pytest.approx(1.16786, abs=2e-3)
+    assert cvm_critical_value() == pytest.approx(1.16786, abs=2e-3)  # LEVEL = 0.001
 
 
 def test_cvm_two_sample_against_scipy():

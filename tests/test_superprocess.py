@@ -6,7 +6,7 @@ import pytest
 from branchlab import engine
 from branchlab.engine import CapExceeded
 from branchlab.loglaplace import parse_test_function
-from branchlab.model import OffspringLaw
+from branchlab.model import ConfigError, OffspringLaw
 from branchlab import superprocess
 from branchlab.rng import stream
 from branchlab.superprocess import (
@@ -120,8 +120,9 @@ def test_scaled_fields_shapes_and_batches():
 
 
 def test_scaled_fields_epsilon_cutoff():
-    with pytest.raises(ValueError):
-        next(scaled_fields(ScalingFamily(n=20), 0.001, 5, stream(5)))
+    for t in (0.001, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            next(scaled_fields(ScalingFamily(n=20), t, 5, stream(5)))
 
 
 def test_scaled_fields_deterministic():
