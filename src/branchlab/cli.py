@@ -22,7 +22,7 @@ from .loglaplace import default_grid, integrate_against, parse_test_function, so
 from .model import ConfigError, ModelError, binary_exponential_model, parse_model_config, validate_model
 from .rng import stream
 from .superprocess import Intensity, ScalingFamily, laplace_mc
-from .verify import CRITERIA, Harness, RepsUnavailable, run_criteria
+from .verify import CRITERIA, Harness, run_criteria
 
 USAGE_ERROR = 2
 
@@ -67,11 +67,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if "all" in args.checks else args.checks
     h = Harness(args.seed)
-    try:
-        results = run_criteria(h, names, reps=args.reps)
-    except RepsUnavailable as exc:
-        print(exc, file=sys.stderr)
-        return USAGE_ERROR
+    results = run_criteria(h, names)
     model_digest = h.model.digest()
     json_lines = []
     all_pass = True
@@ -181,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("checks", nargs="*", default="all", choices=["all", *CRITERIA],
                      help="check names or 'all' (the default)")
     ver.add_argument("--seed", type=int, required=True)
-    ver.add_argument("--reps", type=int, default=None,
-                     help="override each check's primary sample size")
     ver.add_argument("--report", help="write JSONL report rows to this path")
     ver.set_defaults(fn=_cmd_verify)
 

@@ -74,9 +74,6 @@ class GenealogyArena:
     def __len__(self) -> int:
         return self.parent.size
 
-    def alive_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.alive)
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -165,6 +162,8 @@ def _batch_simulate(
     horizon = float(horizon)
     if not 0 <= horizon < math.inf:
         raise ConfigError(f"horizon {horizon} must be finite and nonnegative")
+    if particle_cap < 1:
+        raise ConfigError(f"particle cap {particle_cap} must be at least 1")
 
     rep = np.asarray(root_rep, dtype=np.int64)
     birth = np.asarray(root_birth, dtype=float)
@@ -298,33 +297,25 @@ def _extract_runs(horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]
 # ---------------------------------------------------------------------------
 
 
-def run_once(
-    model: ValidatedModel,
-    horizon: float,
-    rng: RandomStream,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-) -> RunRecord:
-    """One unconditioned run from a single root; deterministic in rng.key."""
+def run_once(model: ValidatedModel, horizon: float, rng: RandomStream) -> RunRecord:
+    """One unconditioned run from a single root; deterministic in rng.key.
+    Its particle cap is `DEFAULT_PARTICLE_CAP`, read at call time."""
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
-    batch = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, "arena")
+    batch = _batch_simulate(model, horizon, keys, rep, birth, pos, DEFAULT_PARTICLE_CAP, "arena")
     return _extract_runs(horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
 
 
-def run_conditioned(
-    model: ValidatedModel,
-    horizon: float,
-    rng: RandomStream,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> RunRecord:
+def run_conditioned(model: ValidatedModel, horizon: float, rng: RandomStream) -> RunRecord:
     """Rejection-sample until the population survives the horizon.
 
     Attempt a uses the substream rng.child(a); the returned attempt count is
-    an unbiased geometric sample with success probability P(N_t > 0).
+    an unbiased geometric sample with success probability P(N_t > 0).  At
+    most `DEFAULT_MAX_ATTEMPTS` attempts are made, read at call time.  This
+    sequential loop is the oracle the batched drivers are tested against.
     """
-    for attempt in range(max_attempts):
-        record = run_once(model, horizon, rng.child(attempt), particle_cap)
+    for attempt in range(DEFAULT_MAX_ATTEMPTS):
+        record = run_once(model, horizon, rng.child(attempt))
         if record.snapshot.n_alive > 0:
             return RunRecord(
                 arena=record.arena,
@@ -332,7 +323,7 @@ def run_conditioned(
                 attempts=attempt + 1,
                 seed_path=rng.path,
             )
-    raise MaxAttemptsExceeded(f"no survival in {max_attempts} attempts at t={horizon}")
+    raise MaxAttemptsExceeded(f"no survival in {DEFAULT_MAX_ATTEMPTS} attempts at t={horizon}")
 
 
 def _replicate_keys(rng: RandomStream, start: int, stop: int) -> np.ndarray:

@@ -59,7 +59,7 @@ class CoalescentSample:
 
 def sample_survivors(run: RunRecord, k: int, rng: RandomStream) -> np.ndarray:
     """Uniform k-subset of the alive set via a partial Fisher-Yates pass."""
-    alive = run.arena.alive_ids()
+    alive = run.snapshot.ids
     n = alive.size
     if k > n:
         raise NotEnoughSurvivors(f"asked for {k} of {n} survivors")

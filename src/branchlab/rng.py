@@ -137,11 +137,6 @@ class RandomStream:
             return self._next_uniform()
         return uniform_at(self.key, self._slots(size))
 
-    def normal(self, size=None):
-        if size is None:
-            return float(ndtri(self._next_uniform()))
-        return ndtri(uniform_at(self.key, self._slots(size)))
-
 
 def stream(seed: int, *path: int) -> RandomStream:
     """Root stream for a 64-bit seed, optionally descended along `path`."""

@@ -1,10 +1,11 @@
 """Headless acceptance harness: one runner per acceptance criterion.
 
-Each runner returns a CriterionResult with machine-readable rows.  All
-randomness descends from the single --seed, so a verify invocation is fully
-deterministic, including across chunk sizes.  Shared simulation batches
-are cached per harness instance so `verify all` never simulates the same
-(horizon, size) batch twice.
+Each runner is a fixed experiment, `runner(h) -> CriterionResult`, with
+machine-readable rows: its horizons and sample sizes are pinned in its body
+and no caller can override them.  All randomness descends from the single
+--seed, so a verify invocation is fully deterministic, including across
+chunk sizes.  Shared simulation batches are cached per harness instance so
+`verify all` never simulates the same (horizon, size) batch twice.
 
 Sample sizes for the mean-style asymptotic checks are calibrated so the
 known finite-horizon bias of the reference model sits below the test's
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .loglaplace import (
     semigroup_apply,
     solve_u,
 )
-from .model import ValidatedModel, binary_exponential_model, limit_age_cdf
+from .model import binary_exponential_model, limit_age_cdf
 from .rng import RandomStream, stream
 from .stats import (
     Estimate,
@@ -65,10 +66,6 @@ from .superprocess import (
     near_critical_family,
     scaled_fields,
 )
-
-
-class RepsUnavailable(ValueError):
-    """A criterion cannot honour the sample size it was asked for."""
 
 
 @dataclass
@@ -187,9 +184,9 @@ class _SurvivorStats:
 class Harness:
     """Caches shared simulation batches across criteria for one seed."""
 
-    def __init__(self, seed: int, model: Optional[ValidatedModel] = None):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.model = model if model is not None else binary_exponential_model()
+        self.model = binary_exponential_model()
         self._survivor_cache: dict = {}
         self._counts_cache: dict = {}
 
@@ -266,10 +263,10 @@ _TAG_T50_COUNTS = _TAG_T50 + 100
 # ---------------------------------------------------------------------------
 
 
-def survival_decay(h: Harness, reps: int = 1_000_000) -> CriterionResult:
+def survival_decay(h: Harness) -> CriterionResult:
     """Survival probability decay: P(A_t) at t=20 against the exact
     birth-death value 2/(2+t), and t*P(A_t) against the limit 2*mu/sigma^2."""
-    t = 20.0
+    t, reps = 20.0, 1_000_000
     [point] = estimate_survival_curve(h.model, [t], reps, h._runs_stream(_TAG_SURVIVAL))
     exact = birth_death_survival(1.0, t)
     rows = [
@@ -285,11 +282,11 @@ def survival_decay(h: Harness, reps: int = 1_000_000) -> CriterionResult:
     return CriterionResult("survival-decay", "survival probability decay", rows)
 
 
-def population_law(h: Harness, n50: int = 5000) -> CriterionResult:
+def population_law(h: Harness) -> CriterionResult:
     """Conditioned population size: KS of N_t/t against its exponential limit
     at t=50, and exact chi-square GOF against the geometric law at t=10."""
     t = 50.0
-    counts50, _ = h.conditioned_population(t, n50, _TAG_T50 + 100)
+    counts50, _ = h.conditioned_population(t, 5000, _TAG_T50_COUNTS)
     ks = ks_distance(counts50 / t, lambda x: -np.expm1(-2.0 * x))
     # N_t/t sits on a 1/t lattice: the exponential target already carries mass
     # 1-exp(-2/t) = 0.039 below the first lattice point, which alone exceeds
@@ -321,9 +318,9 @@ def population_law(h: Harness, n50: int = 5000) -> CriterionResult:
     return CriterionResult("population-law", "conditioned population size law", [row_ks, row_supp, row_gof])
 
 
-def generation_count(h: Harness, n_full: int = 10_000) -> CriterionResult:
+def generation_count(h: Harness) -> CriterionResult:
     """Generation count of a sampled survivor: M_t/t concentrates at 1/mu."""
-    t = 100.0
+    t, n_full = 100.0, 10_000
     batch = h.conditioned_batch(t, n_full, _TAG_T100)
     g = batch.generations / t
     # exact E[M_t/t] = 1 - 1.84/t at t=100, tending to 1 - 2/t; n chosen so
@@ -354,10 +351,10 @@ def generation_count(h: Harness, n_full: int = 10_000) -> CriterionResult:
     return CriterionResult("generation-count", "generation count law of large numbers", [row_mean, row_dev, row_supp])
 
 
-def age_law(h: Harness, n_runs: int = 5300) -> CriterionResult:
+def age_law(h: Harness) -> CriterionResult:
     """Age of a sampled survivor against the equilibrium age law at t=50."""
     t = 50.0
-    batch = h.conditioned_batch(t, n_runs, _TAG_T50)
+    batch = h.conditioned_batch(t, 5300, _TAG_T50)
     # measured KS systematic is ~0.5*ln(t)/t (0.035 at t=50), so the sample
     # size keeps that below the 0.001-level band (0.195 at n=100)
     n_use = 100
@@ -373,10 +370,10 @@ def age_law(h: Harness, n_runs: int = 5300) -> CriterionResult:
     return CriterionResult("age-law", "survivor age law", rows)
 
 
-def single_particle_limit(h: Harness, n_full: int = 10_000) -> CriterionResult:
+def single_particle_limit(h: Harness) -> CriterionResult:
     """Joint law of (age, position/sqrt(t)): Gaussian position, independence."""
     t = 100.0
-    batch = h.conditioned_batch(t, n_full, _TAG_T100)
+    batch = h.conditioned_batch(t, 10_000, _TAG_T100)
     scaled = batch.positions / math.sqrt(t)
     sd = math.sqrt(h.model.psi / h.model.mu)
     from scipy.stats import norm
@@ -391,11 +388,11 @@ def single_particle_limit(h: Harness, n_full: int = 10_000) -> CriterionResult:
     return CriterionResult("single-particle-limit", "single-particle decoupling limit", rows)
 
 
-def ancestral_lln(h: Harness, n_full: int = 10_000) -> CriterionResult:
+def ancestral_lln(h: Harness) -> CriterionResult:
     """Mean ancestral lifetime: the unbiased law, not its size-biased variant
     (which would give mu + sigma_G^2/mu = 2)."""
     t = 100.0
-    batch = h.conditioned_batch(t, n_full, _TAG_T100)
+    batch = h.conditioned_batch(t, 10_000, _TAG_T100)
     est = mean_estimate(batch.anc_mean_life)
     rows = [
         _row_tolerance("mean ancestral lifetime within 0.02 of mu at t=100", est.value, h.model.mu,
@@ -405,10 +402,10 @@ def ancestral_lln(h: Harness, n_full: int = 10_000) -> CriterionResult:
     return CriterionResult("ancestral-lln", "ancestral lifetime law of large numbers", rows)
 
 
-def ancestral_clt(h: Harness, n_full: int = 10_000) -> CriterionResult:
+def ancestral_clt(h: Harness) -> CriterionResult:
     """Characteristic function of the normalized ancestral displacement sum."""
     t = 100.0
-    batch = h.conditioned_batch(t, n_full, _TAG_T100)
+    batch = h.conditioned_batch(t, 10_000, _TAG_T100)
     psi = h.model.psi
     rows = []
     for theta in (0.5, 1.0, 2.0):
@@ -433,25 +430,15 @@ def ancestral_clt(h: Harness, n_full: int = 10_000) -> CriterionResult:
     return CriterionResult("ancestral-clt", "ancestral displacement CLT", rows)
 
 
-def coalescent_stability(h: Harness, n_pinned: int = 5000) -> CriterionResult:
-    """Stability of the pair coalescence-time law tau_1/t across horizons.
-
-    Raises RepsUnavailable unless 1 <= n_pinned <= the pairs in either batch."""
-    n50 = 5300
-    if not 1 <= n_pinned <= n50:
-        raise RepsUnavailable(f"coalescent-stability: n={n_pinned} is outside 1..{n50}")
-    b50 = h.conditioned_batch(50.0, n50, _TAG_T50)
+def coalescent_stability(h: Harness) -> CriterionResult:
+    """Stability of the pair coalescence-time law tau_1/t across horizons."""
+    b50 = h.conditioned_batch(50.0, 5300, _TAG_T50)
     b100 = h.conditioned_batch(100.0, 10_000, _TAG_T100)
-    n_pairs = min(b50.taus.size, b100.taus.size)
-    if n_pinned > n_pairs:
-        raise RepsUnavailable(
-            f"coalescent-stability: n={n_pinned} exceeds the {n_pairs} pairs available"
-        )
-    tau50 = b50.taus[:n_pinned]
-    tau100 = b100.taus[:n_pinned]
+    tau50 = b50.taus[:5000]
+    tau100 = b100.taus[:5000]
     cvm = cvm_two_sample(tau50, tau100)
     row_cvm = _row_from_report(
-        f"two-sample CvM of tau_1/t at t=50 vs t=100 (n={n_pinned} each)",
+        "two-sample CvM of tau_1/t at t=50 vs t=100 (n=5000 each)",
         cvm,
         value=float(np.mean(tau100)),
         note="the pair law drifts ~1/t; at these pinned horizons the drift exceeds "
@@ -465,12 +452,6 @@ def coalescent_stability(h: Harness, n_pinned: int = 5000) -> CriterionResult:
         cvm_two_sample(tau200, tau300),
         gating=False,
     )
-    # k=2 split vectors are single points, so adjacent ties cannot occur; the
-    # binary reference model is structurally tie-free up to k=3 as well
-    # (sibling split nodes need two incomparable splits, impossible below k=4)
-    tie_fraction = 0.0
-    row_ties = _row_bound("tie fraction among adjacent split times (k=2)", tie_fraction, 1e-6,
-                          tau50.size + tau100.size, target="< 1e-6")
     row_lo = _row_bound("tau_1/t mass in [0, 0.01] at t=100", float(np.mean(b100.taus < 0.01)),
                         0.05, b100.taus.size)
     row_hi = _row_bound("tau_1/t mass in [0.99, 1] at t=100", float(np.mean(b100.taus > 0.99)),
@@ -478,11 +459,11 @@ def coalescent_stability(h: Harness, n_pinned: int = 5000) -> CriterionResult:
     return CriterionResult(
         "coalescent-stability",
         "coalescence-time law stability",
-        [row_cvm, row_supp, row_ties, row_lo, row_hi],
+        [row_cvm, row_supp, row_lo, row_hi],
     )
 
 
-def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
+def moment_structure(h: Harness) -> CriterionResult:
     """First-moment functionals of the empirical measure and the two-particle
     decoupling structure, at a horizon where the ~0.35 ln(t)/t age bias sits
     below the 3-sigma band."""
@@ -493,7 +474,7 @@ def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
     snaps: list = []
 
     def tee():
-        for run in iter_runs(model, t, h._runs_stream(_TAG_T400), n_runs, conditioned=True):
+        for run in iter_runs(model, t, h._runs_stream(_TAG_T400), 250, conditioned=True):
             snaps.append(run.snapshot)
             yield run
 
@@ -534,11 +515,11 @@ def moment_structure(h: Harness, n_runs: int = 250) -> CriterionResult:
     return CriterionResult("moment-structure", "empirical-measure moment structure", rows)
 
 
-def total_mass_law(h: Harness, reps: int = 1000) -> CriterionResult:
+def total_mass_law(h: Harness) -> CriterionResult:
     """Constant test function: the total-mass log-Laplace value c/(1+lam c t)."""
     fam = ScalingFamily(n=200, lam=1.0)
     one = parse_test_function("const:1")
-    est = laplace_mc(fam, one, 1.0, reps, h._runs_stream(_TAG_SUPER_CONST))
+    est = laplace_mc(fam, one, 1.0, 1000, h._runs_stream(_TAG_SUPER_CONST))
     target = constant_oracle(1.0, 1.0, 1.0) * fam.nu.total_mass
     rows = [
         _row_from_interval(
@@ -585,11 +566,10 @@ def total_mass_law(h: Harness, reps: int = 1000) -> CriterionResult:
     return CriterionResult("total-mass-law", "scaled total-mass law", rows)
 
 
-def solver_agreement(h: Harness, reps_small: int = 400) -> CriterionResult:
+def solver_agreement(h: Harness) -> CriterionResult:
     """Particle log-Laplace functionals against the deterministic solver for
     f(a,x) = exp(-x^2), with the Monte Carlo confidence band tightening in n."""
-    t = 0.5
-    reps_large = 3200
+    t, reps_small, reps_large = 0.5, 400, 3200
     gauss = parse_test_function("gauss")
     nu = Intensity()
     fam50 = ScalingFamily(n=50, lam=1.0, nu=nu)
@@ -629,9 +609,9 @@ def solver_agreement(h: Harness, reps_small: int = 400) -> CriterionResult:
     return CriterionResult("solver-agreement", "particle system vs solver", rows)
 
 
-def solver_suite(h: Harness, reps=None) -> CriterionResult:
+def solver_suite(h: Harness) -> CriterionResult:
     """Deterministic solver checks: semigroup law, positivity, monotonicity,
-    self-convergence.  (reps accepted for interface uniformity; unused.)"""
+    self-convergence."""
     lam = psi = 1.0
     grid = default_grid(lam, psi, 1.0)
     xs = grid.xs
@@ -687,9 +667,10 @@ def solver_suite(h: Harness, reps=None) -> CriterionResult:
     return CriterionResult("solver-suite", "deterministic solver suite", rows)
 
 
-def determinism(h: Harness, reps: int = 2000) -> CriterionResult:
+def determinism(h: Harness) -> CriterionResult:
     """Bit-level reproducibility, mass conservation and structural invariants."""
     model = h.model
+    reps = 2000
     rows = []
 
     c1 = survival_counts(model, 20.0, h._runs_stream(_TAG_DETERMINISM), reps)
@@ -767,17 +748,14 @@ EXPECTED_RED = {
 }
 
 
-def run_criteria(h: Harness, names=None, reps=None):
-    """Run selected criteria (all by default) on the harness's model and seed;
-    returns list[CriterionResult].
+def run_criteria(h: Harness, names=None):
+    """Run selected criteria (all by default), each at its pinned sizes, on
+    the harness's model and seed; returns list[CriterionResult].
 
-    `reps` overrides each runner's primary sample size (every runner's first
-    knob); leave unset for the calibrated defaults.  Unknown names raise
-    KeyError and reps below 1 RepsUnavailable, before anything is simulated."""
+    Every runner is looked up before any runs, so an unknown name raises
+    KeyError before anything is simulated."""
     selected = list(CRITERIA) if not names else list(names)
     for name in selected:
         if name not in CRITERIA:
             raise KeyError(f"unknown criterion {name!r}; choose from {sorted(CRITERIA)}")
-    if reps is not None and reps < 1:
-        raise RepsUnavailable(f"reps={reps}: a sample size must be at least 1")
-    return [CRITERIA[name](h) if reps is None else CRITERIA[name](h, reps) for name in selected]
+    return [CRITERIA[name](h) for name in selected]

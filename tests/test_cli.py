@@ -3,9 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import branchlab
@@ -74,41 +72,30 @@ def test_verify_unknown_check_exits_2():
     assert dispatch(["verify", "nonsense", "--seed", "1"]) == 2
 
 
-def test_verify_reps_beyond_batch_exits_2_without_simulating(monkeypatch, capsys):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before rejecting --reps")
+def _must_not_run(h):
+    raise AssertionError("a criterion ran")
 
-    monkeypatch.setattr(verify, "iter_runs", no_simulation)
-    assert dispatch(["verify", "coalescent-stability", "--seed", "1", "--reps", "6000"]) == 2
-    assert "n=6000" in capsys.readouterr().err
+
+def test_verify_rejects_reps_without_simulating(monkeypatch, capsys):
+    # each criterion runs at its pinned sizes; --reps is not an option
+    monkeypatch.setitem(verify.CRITERIA, "survival-decay", _must_not_run)
+    assert dispatch(["verify", "survival-decay", "--seed", "1", "--reps", "5"]) == 2
+    assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
+
+
+def test_run_criteria_looks_up_every_name_before_running(monkeypatch):
+    monkeypatch.setitem(verify.CRITERIA, "survival-decay", _must_not_run)
+    with pytest.raises(KeyError, match="nonsense"):
+        verify.run_criteria(verify.Harness(1), ["survival-decay", "nonsense"])
 
 
 def test_verify_criterion_error_keeps_its_traceback(monkeypatch):
-    def too_few(h, reps=None):
+    def too_few(h):
         raise TooFewSamples("need >= 1000 pairs, got 3")
 
     monkeypatch.setitem(verify.CRITERIA, "age-law", too_few)
     with pytest.raises(TooFewSamples):
         dispatch(["verify", "age-law", "--seed", "1"])
-
-
-def test_verify_reps_below_one_exits_2(capsys):
-    assert dispatch(["verify", "survival-decay", "--seed", "1", "--reps", "0"]) == 2
-    assert "reps=0" in capsys.readouterr().err
-
-
-def test_coalescent_stability_names_and_bounds_its_sample():
-    class TenPairs:
-        def conditioned_batch(self, horizon, n_runs, tag):
-            return SimpleNamespace(taus=np.linspace(0.05, 0.95, 10))
-
-    res = verify.coalescent_stability(TenPairs(), 10)
-    assert res.rows[0].name == "two-sample CvM of tau_1/t at t=50 vs t=100 (n=10 each)"
-    with pytest.raises(verify.RepsUnavailable, match="10 pairs"):
-        verify.coalescent_stability(TenPairs(), 11)
-    for n in (0, -5):
-        with pytest.raises(verify.RepsUnavailable, match=f"n={n} "):
-            verify.coalescent_stability(None, n)  # rejected before any batch is asked for
 
 
 def test_verify_single_check_passes(tmp_path, capsys):
@@ -196,6 +183,8 @@ def test_superprocess_bad_f_exits_2():
     "simulate --t nan --seed 1",
     "simulate --t inf --seed 1",
     "simulate --t 1 --reps -2 --seed 1",
+    "simulate --t 1 --seed 1 --cap 0",
+    "simulate --t 1 --seed 1 --cap -5",
     "coalescent --t 5 --reps 0 --seed 1",
     "coalescent --t inf --seed 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 1",

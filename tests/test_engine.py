@@ -54,7 +54,7 @@ def check_structure(run, model):
     assert np.array_equal(a.alive, (a.birth <= a.horizon) & (a.horizon < a.birth + a.lifetime))
     assert np.all(a.lifetime > 0)
     # snapshot consistent with the arena
-    ids = a.alive_ids()
+    ids = np.flatnonzero(a.alive)
     assert np.array_equal(run.snapshot.ids, ids)
     assert np.array_equal(run.snapshot.ages, a.horizon - a.birth[ids])
     assert np.all(run.snapshot.ages >= 0)
@@ -123,15 +123,17 @@ def test_conditioned_population_exact_law():
     assert rep.passed, (rep.statistic, rep.threshold)
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    # cap of 3 records is passed by any surviving run
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", 3)
     with pytest.raises(CapExceeded):
-        # cap of 3 records is passed by any surviving run
-        run_conditioned(MODEL, 10.0, stream(2), particle_cap=3)
+        run_conditioned(MODEL, 10.0, stream(2))
 
 
-def test_max_attempts_exceeded():
+def test_max_attempts_exceeded(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MAX_ATTEMPTS", 1)
     with pytest.raises(MaxAttemptsExceeded):
-        run_conditioned(MODEL, 200.0, stream(4), max_attempts=1)
+        run_conditioned(MODEL, 200.0, stream(4))
 
 
 def test_batched_drivers_raise_max_attempts(monkeypatch):
@@ -417,7 +419,7 @@ def test_engine_matches_brute_force_simulator():
     ages, gens, ns = [], [], []
     samp = stream(4242, 77)
     for i, run in enumerate(iter_runs(MODEL, t, stream(555), n, conditioned=True)):
-        alive = run.arena.alive_ids()
+        alive = run.snapshot.ids
         pick = alive[int(samp.child(i).uniform() * alive.size)]
         ages.append(run.arena.horizon - run.arena.birth[pick])
         node = int(pick)

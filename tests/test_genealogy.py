@@ -41,7 +41,7 @@ def manual_run(parent, birth, lifetime, horizon, displacement=None):
     arena = GenealogyArena(
         parent=parent, birth=birth, lifetime=lifetime, displacement=disp, alive=alive, horizon=horizon,
     )
-    ids = arena.alive_ids()
+    ids = np.flatnonzero(alive)
     snap = Snapshot(ages=horizon - birth[ids], positions=pos[ids], ids=ids, horizon=horizon)
     return RunRecord(arena=arena, snapshot=snap, attempts=1, seed_path=(0,))
 
@@ -53,7 +53,7 @@ def test_sample_full_alive_set():
     run = run_conditioned(MODEL, 8.0, stream(1))
     k = run.snapshot.n_alive
     ids = sample_survivors(run, k, stream(2))
-    assert sorted(ids.tolist()) == run.arena.alive_ids().tolist()
+    assert sorted(ids.tolist()) == np.flatnonzero(run.arena.alive).tolist()
 
 
 def test_sample_too_many():
@@ -72,7 +72,7 @@ def test_sampling_uniformity():
     )
     assert run.snapshot.n_alive == 5
     picks = np.array([int(sample_survivors(run, 1, stream(1000).child(i))[0]) for i in range(20_000)])
-    freqs = np.bincount(picks, minlength=9)[run.arena.alive_ids()] / picks.size
+    freqs = np.bincount(picks, minlength=9)[run.snapshot.ids] / picks.size
     assert np.all(np.abs(freqs - 0.2) < 0.012)  # ~4 sigma binomial band
 
 
@@ -214,7 +214,7 @@ def test_split_times_match_branch_count_definition():
 
 def test_duplicate_ids_rejected():
     run = run_conditioned(MODEL, 8.0, stream(1))
-    alive = run.arena.alive_ids()
+    alive = run.snapshot.ids
     with pytest.raises(DuplicateIds):
         coalescence_times(run, [alive[0], alive[0]])
 
@@ -222,7 +222,7 @@ def test_duplicate_ids_rejected():
 def test_dead_id_rejected():
     run = run_conditioned(MODEL, 8.0, stream(1))
     dead = int(np.flatnonzero(~run.arena.alive)[0])
-    alive = int(run.arena.alive_ids()[0])
+    alive = int(run.snapshot.ids[0])
     with pytest.raises(NotAlive):
         coalescence_times(run, [alive, dead])
 
@@ -233,7 +233,7 @@ def test_tau_consistency_random_runs(seed):
     # tau vector length and ordering; its last entry is the deepest split of
     # any sampled pair, and every pair's split is among the entries
     run = run_conditioned(MODEL, 10.0, stream(seed))
-    alive = run.arena.alive_ids()
+    alive = run.snapshot.ids
     k = min(4, alive.size)
     if k < 2:
         return

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm, poisson
 
 from branchlab.engine import Snapshot, iter_runs
@@ -29,6 +30,11 @@ from branchlab.stats import (
 )
 
 MODEL = binary_exponential_model()
+
+
+def _normals(seed, n):
+    """n standard normals from the root stream of `seed`."""
+    return ndtri(stream(seed).uniform(size=n))
 
 
 # --- oracles -----------------------------------------------------------------
@@ -171,16 +177,16 @@ def test_cvm_critical_value_monotone():
 def test_cvm_two_sample_against_scipy():
     from scipy.stats import cramervonmises_2samp
 
-    x = stream(8).normal(size=400)
-    y = stream(9).normal(size=300)
+    x = _normals(8, 400)
+    y = _normals(9, 300)
     ours = cvm_two_sample(x, y)
     theirs = cramervonmises_2samp(x, y, method="asymptotic")
     assert ours.statistic == pytest.approx(theirs.statistic, rel=1e-10)
 
 
 def test_cvm_two_sample_detects_shift():
-    x = stream(10).normal(size=2000)
-    y = stream(11).normal(size=2000) + 0.5
+    x = _normals(10, 2000)
+    y = _normals(11, 2000) + 0.5
     assert not cvm_two_sample(x, y).passed
 
 
@@ -220,12 +226,12 @@ def test_unbounded_phi_rejected():
 
 
 def test_char_fn_theta_zero():
-    est = empirical_char_fn(stream(1).normal(size=100), 0.0)
+    est = empirical_char_fn(_normals(1, 100), 0.0)
     assert est.value == 1.0 + 0.0j
 
 
 def test_char_fn_gaussian():
-    z = stream(2).normal(size=100_000)
+    z = _normals(2, 100_000)
     est = empirical_char_fn(z, 1.0)
     assert abs(est.value.real - math.exp(-0.5)) < 4 * est.stderr_real
     assert abs(est.value.imag) < 4 * est.stderr_imag
