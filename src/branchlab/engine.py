@@ -9,6 +9,7 @@ batched drivers produce for the same key.  Particle ids are assigned in
 generation order (parents always precede children).  Roots must come
 sorted by replicate: a wave's rows then are too, and are numbered per run of
 equal replicates, so a wave costs O(its own rows) however big the batch.
+A wave's hashes and ids are computed in the C kernel `_kernel` (numpy without it).
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.special import ndtri
 
+from . import _kernel
 from .model import ConfigError, ValidatedModel
-from .rng import _CHILD_SALT, RandomStream, _derive_fast, _mix, derive_key, slot_hash, slot_uniform
+from .rng import _CHILD_SALT, RandomStream, _mix, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -116,6 +118,20 @@ def _number(rep: np.ndarray, next_id: np.ndarray):
     """Ids for a nonempty wave's rows from their nondecreasing replicates,
     continuing each replicate's count in `next_id`, which is advanced in
     place.  Returns the ids and one past the largest id in the wave."""
+    if _kernel.LIB is None:
+        return _number_numpy(rep, next_id)
+    if next_id.dtype != np.int64 or not next_id.flags.carray:
+        raise TypeError("next_id must be a writable C-contiguous int64 array")
+    rep = np.ascontiguousarray(rep, np.int64)
+    local = np.empty(rep.size, np.int64)
+    top = _kernel.LIB.number(*map(_kernel.address, (rep, next_id, local)), rep.size, next_id.size)
+    if top < 0:
+        raise IndexError(f"a replicate lies outside [0, {next_id.size})")
+    return local, top
+
+
+def _number_numpy(rep: np.ndarray, next_id: np.ndarray):
+    """_number in numpy: its oracle and its path without the kernel."""
     bounds = np.concatenate(([0], np.flatnonzero(rep[1:] != rep[:-1]) + 1, [rep.size]))
     first, sizes = bounds[:-1], np.diff(bounds)
     grp = rep[first]
@@ -132,7 +148,7 @@ def _id_hashes(table: np.ndarray, top: int) -> np.ndarray:
     below `top`: `table` if it is long enough, else one at least twice as long."""
     if top <= table.size:
         return table
-    return _mix(np.arange(max(top, 2 * table.size), dtype=np.uint64) ^ _CHILD_SALT)
+    return _mix(np.arange(max(top, 2 * table.size), dtype=np.uint64), _CHILD_SALT)
 
 
 def _batch_simulate(
@@ -205,7 +221,7 @@ def _batch_simulate(
         rows_total += rep.size
         if rows_total > particle_cap and np.any(next_id > particle_cap):
             bad = np.flatnonzero(next_id > particle_cap)
-            raise CapExceeded(rep_labels[bad] if rep_labels is not None else bad)
+            raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
 
         if mode == "arena":
             for col, v in zip(acc.values(), (rep, parent, birth, lifetime, disp, pos_end, alive)):
@@ -333,7 +349,7 @@ def _replicate_keys(rng: RandomStream, start: int, stop: int) -> np.ndarray:
 def _attempt_keys(rep_keys: np.ndarray, base: int, width: int) -> np.ndarray:
     """Keys for attempts base..base+width-1 of each replicate, rep-major."""
     attempts = np.tile(np.arange(base, base + width, dtype=np.uint64), rep_keys.size)
-    return _derive_fast(np.repeat(rep_keys, width), attempts)
+    return derive_key(np.repeat(rep_keys, width), attempts)
 
 
 def _settle(model, horizon, rng, start, stop, particle_cap, conditioned, mode):

@@ -7,8 +7,8 @@ depend on batching, chunk sizes or wave layout: particle i of
 replicate r always sees the same draws no matter how the simulation around it
 is organised.  The hash is the splitmix64 finalizer, applied twice with
 domain-separation salts for key derivation versus value draws.  Single keys
-are hashed on Python ints (`_mix_int`), arrays through numpy (`_mix`); the
-two paths are bit-identical.
+are hashed on Python ints (`_mix_int`), arrays in the C kernel of `_kernel` or,
+if it could not be built, in numpy (`_mix_numpy`); all are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
+
+from . import _kernel
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -27,18 +29,25 @@ _CHILD_SALT_INT, _DRAW_SALT_INT = int(_CHILD_SALT), int(_DRAW_SALT)
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-_SHIFT30 = np.uint64(30)
-_SHIFT27 = np.uint64(27)
-_SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 ndarray (wraps modulo 2^64)."""
+def _mix(z: np.ndarray, salt=0) -> np.ndarray:
+    """splitmix64 finalizer of uint64 ndarray `z` ^ scalar `salt`; `z` is never written."""
+    if _kernel.LIB is None:
+        return _mix_numpy(z ^ np.uint64(salt)) if salt else _mix_numpy(z)
+    z = np.ascontiguousarray(z, np.uint64)
+    out = np.empty(z.shape, np.uint64)
+    _kernel.LIB.mix_xor(_kernel.address(z), int(salt), _kernel.address(out), z.size)
+    return out
+
+
+def _mix_numpy(z: np.ndarray) -> np.ndarray:
+    """_mix in numpy: its bit-for-bit oracle and its path without the kernel."""
     z = z + _GOLDEN
-    z = (z ^ (z >> _SHIFT30)) * _MULT1
-    z = (z ^ (z >> _SHIFT27)) * _MULT2
-    return z ^ (z >> _SHIFT31)
+    z = (z ^ (z >> np.uint64(30))) * _MULT1
+    z = (z ^ (z >> np.uint64(27))) * _MULT2
+    return z ^ (z >> np.uint64(31))
 
 
 def _mix_int(z: int) -> int:
@@ -66,12 +75,7 @@ def mix64(x) -> np.ndarray:
 
 def derive_key(key, token) -> np.ndarray:
     """Child key(s) for integer token(s); broadcasts over either argument."""
-    return _mix(_as_u64(key) ^ _mix(_as_u64(token) ^ _CHILD_SALT))
-
-
-def _derive_fast(keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """derive_key for uint64 arrays, no coercion (hot path)."""
-    return _mix(keys ^ _mix(tokens ^ _CHILD_SALT))
+    return _mix(_as_u64(key) ^ _mix(_as_u64(token), _CHILD_SALT))
 
 
 def slot_hash(slot: int) -> np.uint64:
@@ -81,13 +85,17 @@ def slot_hash(slot: int) -> np.uint64:
 
 def slot_uniform(keys: np.ndarray, hashed_slot: np.uint64) -> np.ndarray:
     """Uniform(0,1) draws at a precomputed slot for uint64 key arrays."""
-    bits = _mix(keys ^ hashed_slot)
-    return ((bits >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
+    if _kernel.LIB is None:
+        return uniform_from_u64(_mix_numpy(keys ^ hashed_slot))
+    keys = np.ascontiguousarray(keys, np.uint64)
+    out = np.empty(keys.shape, np.float64)
+    _kernel.LIB.uniform_xor(_kernel.address(keys), int(hashed_slot), _kernel.address(out), keys.size)
+    return out
 
 
 def draw_u64(key, slot) -> np.ndarray:
     """Raw 64-bit draw(s) at the given slot(s); pure in (key, slot)."""
-    return _mix(_as_u64(key) ^ _mix(_as_u64(slot) ^ _DRAW_SALT))
+    return _mix(_as_u64(key) ^ _mix(_as_u64(slot), _DRAW_SALT))
 
 
 def uniform_from_u64(bits) -> np.ndarray:

@@ -9,13 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab import engine
+from branchlab import _kernel, engine
 from branchlab.engine import (
     CapExceeded,
-    GenealogyArena,
     MaxAttemptsExceeded,
-    RunRecord,
-    Snapshot,
     arena_to_csv,
     conditioned_counts,
     iter_runs,
@@ -157,6 +154,17 @@ def test_iter_runs_cap_names_the_global_replicate(monkeypatch):
     assert exc.value.replicates == [worst]
 
 
+def test_conditioned_cap_names_each_replicate_once(monkeypatch):
+    # with a cap of one row, several of each replicate's attempts pass it
+    with pytest.raises(CapExceeded) as exc:
+        list(iter_runs(MODEL, 1.0, stream(1), 3, conditioned=True, particle_cap=1))
+    assert exc.value.replicates == [0, 1, 2]
+    monkeypatch.setattr(engine, "DEFAULT_PARTICLE_CAP", 1)
+    with pytest.raises(CapExceeded) as exc:
+        conditioned_counts(MODEL, 1.0, stream(1), 3)
+    assert exc.value.replicates == [0, 1, 2]
+
+
 def test_cap_counts_every_row_of_one_replicate(monkeypatch):
     t, reps, rng = 6.0, 40, stream(22)
     # survival_counts keys replicate r by rng.child(r).child(0), simulate_fields
@@ -255,6 +263,19 @@ WAVE_CORE_DIGESTS = {
 
 
 def test_wave_core_outputs_pinned():
+    assert _wave_core_digests() == WAVE_CORE_DIGESTS
+
+
+def test_wave_core_outputs_pinned_without_kernel(monkeypatch, tmp_path):
+    # a compiler that is not there: the build warns once, and the numpy path
+    # it leaves reproduces every digest
+    monkeypatch.setattr(_kernel, "_CACHE", tmp_path)
+    monkeypatch.setattr(_kernel, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+    with pytest.warns(RuntimeWarning, match="no-such-cc") as record:
+        lib = _kernel._load()
+    assert lib is None and len(record) == 1
+    assert not any(tmp_path.iterdir())
+    monkeypatch.setattr(_kernel, "LIB", lib)
     assert _wave_core_digests() == WAVE_CORE_DIGESTS
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,6 @@ from hypothesis import strategies as st
 
 from branchlab.engine import GenealogyArena, RunRecord, Snapshot, iter_runs, run_conditioned
 from branchlab.genealogy import (
-    AncestralLine,
-    CoalescentSample,
     DuplicateIds,
     NotAlive,
     NotEnoughSurvivors,

@@ -1,0 +1,117 @@
+"""The C kernel against its numpy oracles, bit for bit, and how it is built."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branchlab import _kernel, engine, rng
+
+pytestmark = pytest.mark.skipif(_kernel.LIB is None, reason="the C kernel could not be built")
+
+U64 = st.integers(0, 2**64 - 1)
+# hashed bits whose top 53 bits are at least 2^52, where `(bits >> 11) + 0.5`
+# is a tie that rounds to even
+HIGH = st.integers(2**63, 2**64 - 1)
+LAYOUTS = st.sampled_from(["flat", "2-D", "strided"])
+
+
+def _unmix(y: int) -> int:
+    """The inverse of the splitmix64 finalizer, so a test can choose the
+    hashed bits a key produces."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    y = unshift(y, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    y = unshift(y, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (unshift(y, 30) - 0x9E3779B97F4A7C15) % 2**64
+
+
+def _layout(values, layout):
+    a = np.array(values, dtype=np.uint64)
+    if layout == "2-D":
+        return a[: a.size // 2 * 2].reshape(-1, 2)
+    if layout == "strided":
+        return np.repeat(a, 2)[::2]
+    return a
+
+
+def _check(got, want, inputs, before):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(inputs, before)  # inputs are never written
+
+
+def test_unmix_inverts_mix():
+    for y in (0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF):
+        assert rng._mix_int(_unmix(y)) == y
+
+
+@given(st.lists(U64, max_size=40), U64, LAYOUTS)
+@settings(max_examples=200, deadline=None)
+def test_mix_matches_numpy(values, salt, layout):
+    z = _layout(values, layout)
+    before = z.copy()
+    _check(rng._mix(z, salt), rng._mix_numpy(z ^ np.uint64(salt)), z, before)
+    _check(rng._mix(z), rng._mix_numpy(z), z, before)
+
+
+@given(st.lists(st.one_of(U64, HIGH), max_size=40), U64, LAYOUTS)
+@settings(max_examples=200, deadline=None)
+def test_slot_uniform_matches_numpy(bits, slot, layout):
+    hashed = rng.slot_hash(slot)
+    keys = _layout([_unmix(b) ^ int(hashed) for b in bits], layout)
+    before = keys.copy()
+    want = rng.uniform_from_u64(rng._mix_numpy(keys ^ hashed))
+    _check(rng.slot_uniform(keys, hashed), want, keys, before)
+
+
+def test_slot_uniform_extremes_match_numpy():
+    hashed = rng.slot_hash(0)
+    bits = [0, 2**11 - 1, 2**11, 2**63, 2**63 + 2**11, 2**64 - 2**11 - 1, 2**64 - 1]
+    keys = np.array([_unmix(b) ^ int(hashed) for b in bits], dtype=np.uint64)
+    assert np.array_equal(rng.slot_uniform(keys, hashed), rng.uniform_from_u64(rng._mix_numpy(keys ^ hashed)))
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=12),
+    st.integers(0, 5),
+    st.integers(0, 50),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_number_matches_numpy(groups, spare, start_max, random):
+    # groups: (gap to the previous replicate, rows of this replicate)
+    rep, r = [], -1
+    for gap, rows in groups:
+        r += gap + 1
+        rep += [r] * rows
+    rep = np.array(rep, dtype=np.int64)
+    start = np.array([random.randint(0, start_max) for _ in range(r + 1 + spare)], dtype=np.int64)
+    got_next, want_next = start.copy(), start.copy()
+    got, got_top = engine._number(rep, got_next)
+    want, want_top = engine._number_numpy(rep, want_next)
+    assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert got_top == want_top and type(got_top) is int
+    assert np.array_equal(got_next, want_next)
+
+
+@pytest.mark.parametrize("rep", [[0, 1, 3], [-1, 0]])
+def test_number_rejects_a_replicate_out_of_range(rep):
+    with pytest.raises(IndexError):
+        engine._number(np.array(rep, dtype=np.int64), np.zeros(3, np.int64))
+
+
+def test_build_writes_only_the_cached_library(monkeypatch, tmp_path, capfd, recwarn):
+    monkeypatch.setattr(_kernel, "_CACHE", tmp_path / "cache")
+    lib = _kernel._load()
+    assert lib is not None and not recwarn.list
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [lib._name.rsplit("/", 1)[1]]
+    assert capfd.readouterr() == ("", "")
+    z = np.arange(1000, dtype=np.uint64)
+    monkeypatch.setattr(_kernel, "LIB", lib)
+    assert np.array_equal(rng._mix(z), rng._mix_numpy(z))

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
-from scipy.stats import norm, poisson
+from scipy.stats import poisson
 
 from branchlab.engine import Snapshot, iter_runs
 from branchlab.model import binary_exponential_model
 from branchlab.rng import stream
 from branchlab.stats import (
-    ComplexEstimate,
     EmptySample,
     HorizonMismatch,
     TooFewSamples,
