@@ -1,9 +1,10 @@
 """The exact-integer part of an engine wave in C, compiled once per checkout.
 
 `mix_xor`, `uniform_xor` and `number` match `rng._mix_numpy(a ^ salt)`, its
-`rng.uniform_from_u64` (the same IEEE steps) and `engine._number_numpy` bit
-for bit; `number` returns -1 for a replicate outside [0, m).  Without the
-library `LIB` is None, a RuntimeWarning says why, and callers take the oracles.
+`rng.uniform_from_u64` (the same IEEE steps and the same clamp below 1) and
+`engine._number_numpy` bit for bit; `number` returns -1 for a replicate
+outside [0, m).  Without the library `LIB` is None, a RuntimeWarning says
+why, and callers take the oracles.
 """
 
 import ctypes
@@ -24,7 +25,10 @@ void mix_xor(const uint64_t *a, uint64_t salt, uint64_t *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) out[i] = splitmix64(a[i] ^ salt);
 }
 void uniform_xor(const uint64_t *a, uint64_t salt, double *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) out[i] = ((double)(splitmix64(a[i] ^ salt) >> 11) + 0.5) * 0x1p-53;
+    for (int64_t i = 0; i < n; i++) {  /* (2^53 - 1) + 0.5 rounds to 2^53; a min is one minsd */
+        double u = ((double)(splitmix64(a[i] ^ salt) >> 11) + 0.5) * 0x1p-53;
+        out[i] = u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
+    }
 }
 int64_t number(const int64_t *rep, int64_t *next_id, int64_t *local, int64_t n, int64_t m) {
     int64_t top = 0;

@@ -75,8 +75,7 @@ def _cmd_verify(args) -> int:
         for row in res.rows:
             json_lines.append(row.to_json(res.key, args.seed, model_digest))
             status = "PASS" if row.passed else "FAIL"
-            gate = "" if row.gating else " [info]"
-            print(f"{status}{gate} {res.key}: {row.name} (value={row.value:.6g}, "
+            print(f"{status} {res.key}: {row.name} (value={row.value:.6g}, "
                   f"stat={row.statistic:.6g}, thr={row.threshold:.6g})")
         verdict = "PASS" if res.passed else "FAIL"
         print(f"== {verdict} {res.key}: {res.title}")

@@ -468,12 +468,16 @@ def simulate_fields(
 ):
     """Multi-root batch simulation keeping the alive rows only.
 
-    Roots must be grouped by replicate in ascending order.  Returns
-    (rep, ages, positions, counts): one row per particle alive at the
-    horizon, plus the alive count per replicate.
+    Roots must be grouped by replicate in ascending order; a decreasing
+    `root_rep` raises ConfigError.  Returns (rep, ages, positions, counts):
+    one row per particle alive at the horizon, plus the alive count per
+    replicate.
     """
     keys = np.asarray(run_keys, dtype=np.uint64)
-    return _batch_simulate(model, horizon, keys, root_rep, root_birth, root_position,
+    rep = np.asarray(root_rep, dtype=np.int64)
+    if np.any(rep[1:] < rep[:-1]):
+        raise ConfigError("roots must be sorted by replicate")
+    return _batch_simulate(model, horizon, keys, rep, root_birth, root_position,
                            DEFAULT_PARTICLE_CAP, "snapshot")
 
 

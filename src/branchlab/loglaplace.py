@@ -80,8 +80,6 @@ def default_grid(lam: float, psi: float, T: float, nx: int = 1024, dt: float = 1
 class GridSolution:
     times: np.ndarray
     values: np.ndarray  # shape (n_steps + 1, nx)
-    lam: float
-    psi: float
     grid: GridSpec
 
     def final(self) -> np.ndarray:
@@ -127,19 +125,19 @@ def solve_u(
 ) -> GridSolution:
     """March the nonlinear Volterra equation to T on the given grid.
 
-    f maps (age, position) to nonnegative reals (broadcastable).  lam = 0 is
-    allowed for solver testing and reduces to pure heat flow.  Raises
-    StepTooLarge when lam * dt * max(u_0) >= 1: the step would not resolve
-    the fastest decay rate lam * u of the quadratic term (the maximum
-    principle keeps ||u_t|| <= ||u_0||).
+    f maps (age, position) to nonnegative reals (broadcastable); lam must be
+    positive and psi nonnegative.  Raises StepTooLarge when
+    lam * dt * max(u_0) >= 1: the step would not resolve the fastest decay
+    rate lam * u of the quadratic term (the maximum principle keeps
+    ||u_t|| <= ||u_0||).
     """
-    if lam < 0 or psi < 0:
-        raise ConfigError("lam and psi must be nonnegative")
-    u0 = age_average(f, lam if lam > 0 else 1.0, grid)
+    if not (lam > 0 and psi >= 0):
+        raise ConfigError(f"lam must be positive and psi nonnegative, got lam={lam}, psi={psi}")
+    u0 = age_average(f, lam, grid)
     if np.any(u0 < 0):
         raise ValueError("test function must be nonnegative")
     bound = float(u0.max())
-    if lam > 0 and lam * grid.dt * bound >= 1.0:
+    if lam * grid.dt * bound >= 1.0:
         raise StepTooLarge(f"lam*dt*||u0|| = {lam * grid.dt * bound:.3g} >= 1")
 
     n_steps = grid.n_steps
@@ -147,13 +145,6 @@ def solve_u(
     times = np.linspace(0.0, grid.T, n_steps + 1)
     values = np.empty((n_steps + 1, grid.nx))
     values[0] = u0
-
-    if lam == 0:
-        g = u0.copy()
-        for k in range(1, n_steps + 1):
-            g = semigroup_apply(g, dt, 1.0, psi, grid)
-            values[k] = g
-        return GridSolution(times, values, lam, psi, grid)
 
     heat = lambda v: semigroup_apply(v, dt, lam, psi, grid)
     g = u0.copy()          # H_{t_k} u0, advanced one step per iteration
@@ -167,7 +158,7 @@ def solve_u(
         u = 2.0 * b / (1.0 + np.sqrt(1.0 + 2.0 * lam * dt * b))
         values[k] = u
         u_prev = u
-    return GridSolution(times, values, lam, psi, grid)
+    return GridSolution(times, values, grid)
 
 
 def _ones(a, x):

@@ -29,6 +29,7 @@ _CHILD_SALT_INT, _DRAW_SALT_INT = int(_CHILD_SALT), int(_DRAW_SALT)
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - _INV_2_53  # the largest double below 1
 _SHIFT11 = np.uint64(11)
 
 
@@ -99,8 +100,9 @@ def draw_u64(key, slot) -> np.ndarray:
 
 
 def uniform_from_u64(bits) -> np.ndarray:
-    """Map uint64 bits to the open interval (0, 1), 53-bit resolution."""
-    return ((_as_u64(bits) >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
+    """Map uint64 bits to the open interval (0, 1), 53-bit resolution; the top
+    53-bit pattern, which `+ 0.5` rounds up to 1.0, maps to the largest double below 1."""
+    return np.minimum(((_as_u64(bits) >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53, _BELOW_ONE)
 
 
 def uniform_at(key, slot) -> np.ndarray:
@@ -134,7 +136,8 @@ class RandomStream:
         """uniform_at(key, counter) on Python ints; advances the counter."""
         bits = _mix_int(self.key ^ _mix_int(self._counter ^ _DRAW_SALT_INT))
         self._counter += 1
-        return ((bits >> 11) + 0.5) * _INV_2_53
+        u = ((bits >> 11) + 0.5) * _INV_2_53
+        return u if u < 1.0 else _BELOW_ONE
 
     def _slots(self, size):
         self._counter += int(size)

@@ -105,6 +105,10 @@ def test_verify_single_check_passes(tmp_path, capsys):
     rows = [json.loads(line) for line in report.read_text().splitlines()]
     assert all(r["passed"] for r in rows)
     assert all(r["version"].startswith("branchlab-") for r in rows)
+    # README's report fields, exactly; every row gates
+    fields = {"criterion", "check", "passed", "value", "target", "statistic", "threshold",
+              "stderr", "n", "gating", "note", "seed", "model", "version"}
+    assert all(set(r) == fields and r["gating"] is True for r in rows)
     out = capsys.readouterr().out
     assert "== PASS solver-suite" in out
 
@@ -176,6 +180,7 @@ def test_superprocess_bad_f_exits_2():
     "loglaplace --t 1 --f nope",
     "loglaplace --t 1 --dt 0.5 --f const:5",
     "loglaplace --t 1 --dt 0.5 --lambda -1",
+    "loglaplace --t 1 --lambda 0",
     "loglaplace --t inf",
     "loglaplace --t 1 --dt nan",
     "simulate --t 1 --seed 1 --model /nonexistent",

@@ -194,6 +194,17 @@ def test_cap_counts_every_row_of_one_replicate(monkeypatch):
     assert exc.value.replicates == [worst]
 
 
+@pytest.mark.parametrize("kernel", [True, False])
+def test_unsorted_roots_rejected(monkeypatch, kernel):
+    # unsorted roots once numbered differently on the kernel and numpy paths
+    if not kernel:
+        monkeypatch.setattr(_kernel, "LIB", None)
+    monkeypatch.setattr(engine, "slot_uniform", lambda *args: pytest.fail("a wave was simulated"))
+    keys = np.array([11, 12], dtype=np.uint64)
+    with pytest.raises(ConfigError, match="sorted by replicate"):
+        simulate_fields(MODEL, 3.0, keys, np.array([1, 0, 1]), np.zeros(3), np.zeros(3))
+
+
 @pytest.mark.parametrize("probabilities", [
     (0.5, 0.0, 0.5),
     (2 / 3, 0.0, 0.0, 1 / 3),

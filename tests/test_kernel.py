@@ -72,9 +72,16 @@ def test_slot_uniform_matches_numpy(bits, slot, layout):
 
 def test_slot_uniform_extremes_match_numpy():
     hashed = rng.slot_hash(0)
-    bits = [0, 2**11 - 1, 2**11, 2**63, 2**63 + 2**11, 2**64 - 2**11 - 1, 2**64 - 1]
+    bits = [0, 2**11 - 1, 2**11, 2**63, 2**63 + 2**11, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]
     keys = np.array([_unmix(b) ^ int(hashed) for b in bits], dtype=np.uint64)
-    assert np.array_equal(rng.slot_uniform(keys, hashed), rng.uniform_from_u64(rng._mix_numpy(keys ^ hashed)))
+    got = rng.slot_uniform(keys, hashed)
+    assert np.array_equal(got, rng.uniform_from_u64(rng._mix_numpy(keys ^ hashed)))
+    # a stream keyed so that its first draw hashes to the same bits
+    scalar = np.array([rng.RandomStream(int(k))._next_uniform() for k in keys])
+    assert np.array_equal(scalar, got)
+    # the top 53 bits all ones would round to 1.0; they map to the largest double below
+    assert np.all((got > 0.0) & (got < 1.0))
+    assert got[-1] == got[-2] == 1.0 - 2.0**-53
 
 
 @given(

@@ -144,11 +144,13 @@ def test_zero_function():
     assert np.all(sol.values == 0.0)
 
 
-def test_lambda_zero_heat_flow():
+def test_nonpositive_lambda_rejected():
+    # lam scales both the heat flow and the age law, so lam -> 0 has no limit
+    # the solver could march; heat flow alone is checked through semigroup_apply
     grid = default_grid(1.0, 1.0, 0.5)
-    sol = solve_u(GAUSS, 0.0, 1.0, grid)
-    direct = semigroup_apply(age_average(GAUSS, 1.0, grid), 0.5, 1.0, 1.0, grid)
-    assert np.max(np.abs(sol.final() - direct)) < 1e-9
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="lam must be positive"):
+            solve_u(GAUSS, lam, 1.0, grid)
 
 
 def test_positivity_and_bound():

@@ -63,6 +63,8 @@ def test_child_streams_are_independent_of_parent_consumption():
 def test_uniform_open_interval():
     u = stream(11).uniform(size=100_000)
     assert np.all(u > 0.0) and np.all(u < 1.0)
+    ends = uniform_from_u64(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert ends[0] > 0.0 and ends[1] < 1.0
 
 
 def test_uniform_moments():
