@@ -1,10 +1,11 @@
-"""The exact-integer part of an engine wave in C, compiled once per checkout.
+"""The exact-integer and copy-only part of an engine wave in C, compiled once.
 
-`mix_xor`, `uniform_xor` and `number` match `rng._mix_numpy(a ^ salt)`, its
-`rng.uniform_from_u64` (the same IEEE steps and the same clamp below 1) and
-`engine._number_numpy` bit for bit; `number` returns -1 for a replicate
-outside [0, m).  Without the library `LIB` is None, a RuntimeWarning says
-why, and callers take the oracles.
+`mix_xor`, `uniform_xor`, `wave_keys` and the pair `offspring` + `branch` match
+`rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the same IEEE steps and
+clamp below 1), `engine._wave_keys_numpy` and `engine._branch_numpy` bit for
+bit; `wave_keys` returns -1 for a replicate outside [0, m).  Beyond that map
+the C only compares and copies doubles, so it needs no libm.  Without the
+library `LIB` is None, a RuntimeWarning says why, and callers take the oracles.
 """
 
 import ctypes
@@ -21,23 +22,47 @@ static inline uint64_t splitmix64(uint64_t z) {
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
 }
+static inline double unit(uint64_t bits) {  /* (2^53 - 1) + 0.5 rounds to 2^53; a min is one minsd */
+    double u = ((double)(bits >> 11) + 0.5) * 0x1p-53;
+    return u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
+}
 void mix_xor(const uint64_t *a, uint64_t salt, uint64_t *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) out[i] = splitmix64(a[i] ^ salt);
 }
 void uniform_xor(const uint64_t *a, uint64_t salt, double *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) {  /* (2^53 - 1) + 0.5 rounds to 2^53; a min is one minsd */
-        double u = ((double)(splitmix64(a[i] ^ salt) >> 11) + 0.5) * 0x1p-53;
-        out[i] = u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
-    }
+    for (int64_t i = 0; i < n; i++) out[i] = unit(splitmix64(a[i] ^ salt));
 }
-int64_t number(const int64_t *rep, int64_t *next_id, int64_t *local, int64_t n, int64_t m) {
+int64_t wave_keys(const int64_t *rep, const uint64_t *run_keys, uint64_t salt, int64_t *next_id,
+                  int64_t *local, uint64_t *keys, int64_t n, int64_t m) {
     int64_t top = 0;
     for (int64_t i = 0; i < n; i++) {
         if (rep[i] < 0 || rep[i] >= m) return -1;
         local[i] = next_id[rep[i]]++;
         if (local[i] >= top) top = local[i] + 1;
+        keys[i] = splitmix64(run_keys[rep[i]] ^ splitmix64((uint64_t)local[i] ^ salt));
     }
     return top;
+}
+int64_t offspring(const uint8_t *alive, const uint64_t *keys, uint64_t slot, const double *levels,
+                  int64_t n_levels, int64_t *kids, int64_t n) {
+    int64_t total = 0;
+    for (int64_t i = 0; i < n; i++) {  /* every level is compared: an early exit mispredicts */
+        double u = alive[i] ? -1.0 : unit(splitmix64(keys[i] ^ slot));  /* alive: no children */
+        int64_t k = 0;
+        for (int64_t l = 0; l < n_levels; l++) k += levels[l] <= u;
+        total += kids[i] = k;
+    }
+    return total;
+}
+void branch(const int64_t *kids, const int64_t *rep, const double *death, const double *pos_end,
+            const int64_t *local, int64_t *rep_out, double *birth, double *pos_start,
+            int64_t *parent, int64_t n) {
+    for (int64_t i = 0, j = 0; i < n; i++) {  /* loads hoisted, as the outputs might alias them */
+        int64_t r = rep[i], end = j + kids[i];
+        double d = death[i], p = pos_end[i];
+        if (parent) for (int64_t k = j; k < end; k++) parent[k] = local[i];
+        for (; j < end; j++) rep_out[j] = r, birth[j] = d, pos_start[j] = p;
+    }
 }
 """
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -82,7 +107,9 @@ def _load():
         return None
     for fn in (lib.mix_xor, lib.uniform_xor):
         fn.argtypes, fn.restype = (_P, _U64, _P, _I64), None
-    lib.number.argtypes, lib.number.restype = (_P, _P, _P, _I64, _I64), _I64
+    lib.wave_keys.argtypes, lib.wave_keys.restype = (_P, _P, _U64, _P, _P, _P, _I64, _I64), _I64
+    lib.offspring.argtypes, lib.offspring.restype = (_P, _P, _U64, _P, _I64, _P, _I64), _I64
+    lib.branch.argtypes, lib.branch.restype = (_P,) * 9 + (_I64,), None
     return lib
 
 

@@ -9,7 +9,9 @@ batched drivers produce for the same key.  Particle ids are assigned in
 generation order (parents always precede children).  Roots must come
 sorted by replicate: a wave's rows then are too, and are numbered per run of
 equal replicates, so a wave costs O(its own rows) however big the batch.
-A wave's hashes and ids are computed in the C kernel `_kernel` (numpy without it).
+A wave's ids, keys, uniform draws and offspring branching (children's counts
+and copied columns) run in the C kernel `_kernel` (numpy without it); the
+lifetime quantiles, normal quantiles and motion variances stay in numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.special import ndtri
 
 from . import _kernel
 from .model import ConfigError, ValidatedModel
-from .rng import _CHILD_SALT, RandomStream, _mix, derive_key, slot_hash, slot_uniform
+from .rng import _CHILD_SALT, RandomStream, _mix_numpy, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -114,24 +116,29 @@ def _offspring_count(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return n
 
 
-def _number(rep: np.ndarray, next_id: np.ndarray):
-    """Ids for a nonempty wave's rows from their nondecreasing replicates,
-    continuing each replicate's count in `next_id`, which is advanced in
-    place.  Returns the ids and one past the largest id in the wave."""
+def _wave_keys(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray):
+    """Ids and keys for a nonempty wave's rows from their nondecreasing
+    replicates, continuing each replicate's count in `next_id`, which is
+    advanced in place.  Returns the ids, the keys derive_key(run_keys[rep], id)
+    and one past the largest id in the wave."""
     if _kernel.LIB is None:
-        return _number_numpy(rep, next_id)
+        return _wave_keys_numpy(rep, run_keys, next_id)
     if next_id.dtype != np.int64 or not next_id.flags.carray:
         raise TypeError("next_id must be a writable C-contiguous int64 array")
     rep = np.ascontiguousarray(rep, np.int64)
-    local = np.empty(rep.size, np.int64)
-    top = _kernel.LIB.number(*map(_kernel.address, (rep, next_id, local)), rep.size, next_id.size)
+    run_keys = np.ascontiguousarray(run_keys, np.uint64)
+    local, keys = np.empty(rep.size, np.int64), np.empty(rep.size, np.uint64)
+    top = _kernel.LIB.wave_keys(*map(_kernel.address, (rep, run_keys)), int(_CHILD_SALT),
+                                *map(_kernel.address, (next_id, local, keys)), rep.size, next_id.size)
     if top < 0:
         raise IndexError(f"a replicate lies outside [0, {next_id.size})")
-    return local, top
+    return local, keys, top
 
 
-def _number_numpy(rep: np.ndarray, next_id: np.ndarray):
-    """_number in numpy: its oracle and its path without the kernel."""
+def _wave_keys_numpy(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray):
+    """_wave_keys in numpy: its oracle and its path without the kernel."""
+    if rep[0] < 0:
+        raise IndexError(f"a replicate lies outside [0, {next_id.size})")
     bounds = np.concatenate(([0], np.flatnonzero(rep[1:] != rep[:-1]) + 1, [rep.size]))
     first, sizes = bounds[:-1], np.diff(bounds)
     grp = rep[first]
@@ -140,15 +147,40 @@ def _number_numpy(rep: np.ndarray, next_id: np.ndarray):
     local += np.arange(rep.size)
     base += sizes
     next_id[grp] = base
-    return local, int(base.max())
+    keys = _mix_numpy(run_keys[rep] ^ _mix_numpy(local.astype(np.uint64) ^ _CHILD_SALT))
+    return local, keys, int(base.max())
 
 
-def _id_hashes(table: np.ndarray, top: int) -> np.ndarray:
-    """_mix(id ^ _CHILD_SALT), the particle-id half of derive_key, for every id
-    below `top`: `table` if it is long enough, else one at least twice as long."""
-    if top <= table.size:
-        return table
-    return _mix(np.arange(max(top, 2 * table.size), dtype=np.uint64), _CHILD_SALT)
+def _branch(alive, keys, cum, rep, death, pos_end, local=None):
+    """The children of a wave's dead rows, in row order: their replicates,
+    births (the parent's death), start positions (the parent's end) and, if
+    `local` (the rows' ids) is given, parent ids; else None."""
+    if _kernel.LIB is None:
+        return _branch_numpy(alive, keys, cum, rep, death, pos_end, local)
+    addr = lambda a: None if a is None else _kernel.address(a)
+    alive, keys = np.ascontiguousarray(alive, np.bool_), np.ascontiguousarray(keys, np.uint64)
+    levels = np.ascontiguousarray(cum[cum < 1.0])
+    kids = np.empty(alive.size, np.int64)
+    total = _kernel.LIB.offspring(addr(alive), addr(keys), int(_H_OFFSPRING), addr(levels), levels.size,
+                                  addr(kids), kids.size)
+    rep = np.ascontiguousarray(rep, np.int64)
+    death, pos_end = np.ascontiguousarray(death, float), np.ascontiguousarray(pos_end, float)
+    parent = None
+    if local is not None:
+        local, parent = np.ascontiguousarray(local, np.int64), np.empty(total, np.int64)
+    children = np.empty(total, np.int64), np.empty(total), np.empty(total)
+    _kernel.LIB.branch(*map(addr, (kids, rep, death, pos_end, local, *children, parent)), kids.size)
+    return (*children, parent)
+
+
+def _branch_numpy(alive, keys, cum, rep, death, pos_end, local=None):
+    """_branch in numpy: its oracle and its path without the kernel."""
+    src = np.flatnonzero(~alive)
+    kids = _offspring_count(slot_uniform(keys[src], _H_OFFSPRING), cum)
+    has = kids > 0
+    src, kids = src[has], kids[has]
+    parent = None if local is None else np.repeat(local[src], kids)
+    return np.repeat(rep[src], kids), np.repeat(death[src], kids), np.repeat(pos_end[src], kids), parent
 
 
 def _batch_simulate(
@@ -186,18 +218,13 @@ def _batch_simulate(
     pos_start = np.asarray(root_position, dtype=float)
     parent = np.full(rep.size, -1, dtype=np.int64) if mode == "arena" else None
     next_id = np.zeros(n_rep, dtype=np.int64)
-    id_hash = np.empty(0, np.uint64)
-
-    rows_total = 0  # a replicate's rows so far, next_id[r], never exceed the batch's
     acc = {k: [] for k in ("rep", "parent", "birth", "lifetime", "disp", "pos", "alive")}
     alive_rep = [np.empty(0, np.int64)]
     snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
 
     wave = 0
     while rep.size:
-        local, top = _number(rep, next_id)
-        id_hash = _id_hashes(id_hash, top)
-        keys = _mix(run_keys[rep] ^ id_hash[local])
+        local, keys, top = _wave_keys(rep, run_keys, next_id)
 
         u_life = slot_uniform(keys, _H_LIFETIME)
         if wave == 0:
@@ -218,8 +245,7 @@ def _batch_simulate(
         disp = np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z
         pos_end = pos_start + disp
 
-        rows_total += rep.size
-        if rows_total > particle_cap and np.any(next_id > particle_cap):
+        if top > particle_cap:  # only this wave's replicates have grown since the last check
             bad = np.flatnonzero(next_id > particle_cap)
             raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
 
@@ -231,21 +257,8 @@ def _batch_simulate(
             snap_pos.append(pos_end[alive])
         alive_rep.append(rep[alive])
 
-        dead = ~alive
-        if not np.any(dead):
-            break
-        u_off = slot_uniform(keys[dead], _H_OFFSPRING)
-        n_children = _offspring_count(u_off, cum)
-        has = n_children > 0
-        if not np.any(has):
-            break
-        src = np.flatnonzero(dead)[has]
-        kids = n_children[has]
-        if mode == "arena":
-            parent = np.repeat(local[src], kids)
-        rep = np.repeat(rep[src], kids)
-        birth = np.repeat(death[src], kids)
-        pos_start = np.repeat(pos_end[src], kids)
+        rep, birth, pos_start, parent = _branch(alive, keys, cum, rep, death, pos_end,
+                                                local if mode == "arena" else None)
         wave += 1
 
     alive_rep = np.concatenate(alive_rep)

@@ -70,8 +70,14 @@ class GridSpec:
         return GridSpec(self.x_lo, self.x_hi, 2 * self.nx, self.dt / 2.0, self.T)
 
 
+def _check_coefficients(lam: float, psi: float) -> None:
+    if not (0 < lam < math.inf and 0 <= psi < math.inf):
+        raise ConfigError(f"lam must be positive and psi nonnegative, both finite, got lam={lam}, psi={psi}")
+
+
 def default_grid(lam: float, psi: float, T: float, nx: int = 1024, dt: float = 1e-3) -> GridSpec:
     """Domain wide enough that the Gaussian tail at the boundary is ~1e-22."""
+    _check_coefficients(lam, psi)
     half = 10.0 * math.sqrt(max(lam * psi * T, 1e-12))
     return GridSpec(-half, half, nx, dt, T)
 
@@ -126,13 +132,12 @@ def solve_u(
     """March the nonlinear Volterra equation to T on the given grid.
 
     f maps (age, position) to nonnegative reals (broadcastable); lam must be
-    positive and psi nonnegative.  Raises StepTooLarge when
+    positive and psi nonnegative, both finite.  Raises StepTooLarge when
     lam * dt * max(u_0) >= 1: the step would not resolve the fastest decay
     rate lam * u of the quadratic term (the maximum principle keeps
     ||u_t|| <= ||u_0||).
     """
-    if not (lam > 0 and psi >= 0):
-        raise ConfigError(f"lam must be positive and psi nonnegative, got lam={lam}, psi={psi}")
+    _check_coefficients(lam, psi)
     u0 = age_average(f, lam, grid)
     if np.any(u0 < 0):
         raise ValueError("test function must be nonnegative")

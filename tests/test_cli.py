@@ -183,6 +183,10 @@ def test_superprocess_bad_f_exits_2():
     "loglaplace --t 1 --lambda 0",
     "loglaplace --t inf",
     "loglaplace --t 1 --dt nan",
+    "loglaplace --t 1 --lambda nan",
+    "loglaplace --t 1 --lambda inf",
+    "loglaplace --t 1 --psi nan",
+    "loglaplace --t 1 --psi inf",
     "simulate --t 1 --seed 1 --model /nonexistent",
     "simulate --t -1 --seed 1",
     "simulate --t nan --seed 1",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab import _kernel, engine, rng
+from branchlab.model import OffspringLaw
 
 pytestmark = pytest.mark.skipif(_kernel.LIB is None, reason="the C kernel could not be built")
 
@@ -84,33 +85,88 @@ def test_slot_uniform_extremes_match_numpy():
     assert got[-1] == got[-2] == 1.0 - 2.0**-53
 
 
-@given(
-    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=12),
-    st.integers(0, 5),
-    st.integers(0, 50),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_number_matches_numpy(groups, spare, start_max, random):
-    # groups: (gap to the previous replicate, rows of this replicate)
+def _replicates(groups):
+    """Nondecreasing replicates from (gap to the previous replicate, rows of this one)."""
     rep, r = [], -1
     for gap, rows in groups:
         r += gap + 1
         rep += [r] * rows
-    rep = np.array(rep, dtype=np.int64)
-    start = np.array([random.randint(0, start_max) for _ in range(r + 1 + spare)], dtype=np.int64)
+    return np.array(rep, dtype=np.int64)
+
+
+GROUPS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=12)
+
+
+@given(GROUPS, st.integers(0, 5), st.integers(0, 50), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_wave_keys_matches_numpy(groups, spare, start_max, random):
+    rep = _replicates(groups)
+    m = int(rep[-1]) + 1 + spare
+    start = np.array([random.randint(0, start_max) for _ in range(m)], dtype=np.int64)
+    run_keys = np.array([random.getrandbits(64) for _ in range(m)], dtype=np.uint64)
+    before = np.concatenate([rep.view(np.uint64), run_keys])
     got_next, want_next = start.copy(), start.copy()
-    got, got_top = engine._number(rep, got_next)
-    want, want_top = engine._number_numpy(rep, want_next)
-    assert np.array_equal(got, want) and got.dtype == want.dtype
+    *got, got_top = engine._wave_keys(rep, run_keys, got_next)
+    *want, want_top = engine._wave_keys_numpy(rep, run_keys, want_next)
+    for g, w in zip(got, want):
+        _check(g, w, np.concatenate([rep.view(np.uint64), run_keys]), before)
     assert got_top == want_top and type(got_top) is int
     assert np.array_equal(got_next, want_next)
+    # the keys are derive_key(run key, id), as the drivers document
+    assert np.array_equal(got[1], rng.derive_key(run_keys[rep], got[0]))
 
 
 @pytest.mark.parametrize("rep", [[0, 1, 3], [-1, 0]])
-def test_number_rejects_a_replicate_out_of_range(rep):
-    with pytest.raises(IndexError):
-        engine._number(np.array(rep, dtype=np.int64), np.zeros(3, np.int64))
+def test_wave_keys_rejects_a_replicate_out_of_range(rep):
+    for wave_keys in (engine._wave_keys, engine._wave_keys_numpy):
+        with pytest.raises(IndexError):
+            wave_keys(np.array(rep, dtype=np.int64), np.zeros(3, np.uint64), np.zeros(3, np.int64))
+
+
+# a first level that the offspring uniform of the key TIE equals exactly
+TIE_LEVEL = (2**51 + 0.5) * 2.0**-53
+TIE = _unmix(2**51 << 11) ^ int(engine._H_OFFSPRING)
+LAWS = st.sampled_from([
+    (TIE_LEVEL, 0.0, 1.0 - TIE_LEVEL),
+    (0.5, 0.0, 0.5),
+    (0.4, 0.4, 0.0, 0.2),
+    (0.25, 0.75, 0.0, 0.0),  # reaches 1.0 before its last entry
+    (1.0, 0.0),  # no dead row has a child
+    (0.5,) + (0.0,) * 299 + (0.5,),  # 300 children, past any 8-bit count
+    (1 / 301,) * 301,
+])
+# per row: alive, key, and the bits of its death and end position (NaNs,
+# infinities and subnormals included: the kernel copies them)
+ROW = st.tuples(st.booleans(), st.one_of(U64, HIGH, st.just(TIE)), U64, U64)
+
+
+@given(GROUPS, st.data(), LAWS, st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_branch_matches_numpy(groups, data, law, all_alive, arena, strided):
+    rep = _replicates(groups)
+    rows = data.draw(st.lists(ROW, min_size=rep.size, max_size=rep.size))
+    alive, keys, death, pos_end = (np.array(col, dtype=np.uint64) for col in zip(*rows))
+    alive = (alive == 1) | all_alive  # all alive: a wave with no children
+    death, pos_end = death.view(np.float64), pos_end.view(np.float64)
+    ids = [np.arange(rep.size, dtype=np.int64) * 7 + 3] if arena else []
+    inputs = [alive, keys, rep, death, pos_end, *ids]
+    if strided:
+        inputs = [np.repeat(a, 2)[::2] for a in inputs]
+    before = [a.copy() for a in inputs]
+    cum = OffspringLaw(law).cumulative()
+    alive, keys, rep, death, pos_end, *local = inputs
+    local = local[0] if arena else None
+    got = engine._branch(alive, keys, cum, rep, death, pos_end, local)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "LIB", None)  # the oracle draws its uniforms in numpy too
+        want = engine._branch_numpy(alive, keys, cum, rep, death, pos_end, local)
+    assert (got[3] is None) == (want[3] is None) == (not arena)
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()  # NaN payloads and signed zeros included
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()  # inputs are never written
 
 
 def test_build_writes_only_the_cached_library(monkeypatch, tmp_path, capfd, recwarn):
