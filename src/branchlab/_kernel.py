@@ -1,14 +1,20 @@
 """The exact-integer and copy-only part of an engine wave in C, compiled once.
 
-`mix_xor`, `uniform_xor`, `wave_keys` and the pair `offspring` + `branch` match
-`rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the same IEEE steps and
-clamp below 1), `engine._wave_keys_numpy` and `engine._branch_numpy` bit for
-bit; `wave_keys` returns -1 for a replicate outside [0, m).  Beyond that map
-the C only compares and copies doubles, so it needs no libm.  Without the
-library `LIB` is None, a RuntimeWarning says why, and callers take the oracles.
+`mix_xor`, `uniform_xor`, `wave_keys`, the pair `offspring` + `branch`, `gather`
+and `ancestry` match `rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the
+same IEEE steps and clamp below 1), `engine._wave_keys_numpy`,
+`engine._branch_numpy`, `engine._gather_numpy` and `engine._ancestry_sum_numpy`
+bit for bit; `wave_keys` returns -1 for a replicate outside [0, m).  `gather`
+cuts kept runs out of a round's wave-ordered rows with one counting pass, and
+`ancestry` sums each kept row's position from its parent's in id order.  Beyond
+the u64 -> double map the C only adds, compares and copies doubles, one IEEE
+step at a time as numpy takes them, so it needs no libm.  Without the library
+`LIB` is None, a RuntimeWarning says why, and callers take the oracles.
 """
 
+import contextlib
 import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -56,13 +62,30 @@ int64_t offspring(const uint8_t *alive, const uint64_t *keys, uint64_t slot, con
 }
 void branch(const int64_t *kids, const int64_t *rep, const double *death, const double *pos_end,
             const int64_t *local, int64_t *rep_out, double *birth, double *pos_start,
-            int64_t *parent, int64_t n) {
+            int64_t *parent, int64_t n) {  /* positions and parents are optional (NULL) */
     for (int64_t i = 0, j = 0; i < n; i++) {  /* loads hoisted, as the outputs might alias them */
         int64_t r = rep[i], end = j + kids[i];
-        double d = death[i], p = pos_end[i];
+        double d = death[i];
         if (parent) for (int64_t k = j; k < end; k++) parent[k] = local[i];
-        for (; j < end; j++) rep_out[j] = r, birth[j] = d, pos_start[j] = p;
+        if (pos_start) {
+            double p = pos_end[i];
+            for (; j < end; j++) rep_out[j] = r, birth[j] = d, pos_start[j] = p;
+        } else {
+            for (; j < end; j++) rep_out[j] = r, birth[j] = d;
+        }
     }
+}
+void gather(const int64_t *rep, const int64_t *slot, int64_t *cursor, int64_t *idx, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {  /* slot < 0: the replicate is not kept */
+        int64_t s = slot[rep[i]];
+        if (s >= 0) idx[cursor[s]++] = i;
+    }
+}
+void ancestry(const int64_t *parent, const double *disp, const int64_t *bounds, const double *root,
+              int64_t runs, double *pos) {  /* parents precede their children within a run */
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t j = bounds[r], s = bounds[r]; j < bounds[r + 1]; j++)
+            pos[j] = (parent[j] < 0 ? root[r] : pos[s + parent[j]]) + disp[j];
 }
 """
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -76,7 +99,8 @@ def _compiler() -> list:
 
 def _library() -> str:
     """The library, cached under a hash of source, flags and platform; if missing,
-    CC (else cc) builds it into a per-process file renamed into place."""
+    CC (else cc) builds it into a per-process file renamed into place, and the
+    libraries built from other sources are removed."""
     tag = "\0".join((_SOURCE, *_FLAGS, sysconfig.get_platform()))
     path = os.path.join(_CACHE, f"_kernel-{hashlib.sha256(tag.encode()).hexdigest()}.so")
     if not os.path.exists(path):
@@ -87,6 +111,10 @@ def _library() -> str:
         if proc.returncode:
             raise OSError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
         os.replace(tmp, path)
+        for stale in glob.glob(os.path.join(_CACHE, "_kernel-*.so")):  # builds of other sources
+            if stale != path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(stale)
     return path
 
 
@@ -110,6 +138,8 @@ def _load():
     lib.wave_keys.argtypes, lib.wave_keys.restype = (_P, _P, _U64, _P, _P, _P, _I64, _I64), _I64
     lib.offspring.argtypes, lib.offspring.restype = (_P, _P, _U64, _P, _I64, _P, _I64), _I64
     lib.branch.argtypes, lib.branch.restype = (_P,) * 9 + (_I64,), None
+    lib.gather.argtypes, lib.gather.restype = (_P,) * 4 + (_I64,), None
+    lib.ancestry.argtypes, lib.ancestry.restype = (_P,) * 4 + (_I64, _P), None
     return lib
 
 

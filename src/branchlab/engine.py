@@ -11,7 +11,16 @@ sorted by replicate: a wave's rows then are too, and are numbered per run of
 equal replicates, so a wave costs O(its own rows) however big the batch.
 A wave's ids, keys, uniform draws and offspring branching (children's counts
 and copied columns) run in the C kernel `_kernel` (numpy without it); the
-lifetime quantiles, normal quantiles and motion variances stay in numpy.
+lifetime quantiles, normal quantiles and motion variances stay in numpy, and
+the C only adds, compares and copies doubles.
+
+Only the tree (lifetimes and offspring) decides whether an attempt survives,
+and a row's displacement is a pure function of its key and life span.  So an
+arena batch's waves draw the tree only; once the round is settled,
+`_extract_runs` draws the motion of the kept runs' rows in one pass, from the
+keys and slot a wave would use, and sums positions down each tree in id
+order, bit for bit as a wave would.  Counts and snapshot waves draw motion in
+the loop.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from scipy.special import ndtri
 
 from . import _kernel
 from .model import ConfigError, ValidatedModel
-from .rng import _CHILD_SALT, RandomStream, _mix_numpy, derive_key, slot_hash, slot_uniform
+from .rng import _CHILD_SALT, _CHILD_SALT_INT, RandomStream, _mix_numpy, derive_key, slot_hash, slot_uniform
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -37,6 +46,7 @@ _CONDITIONED_CHUNK = 4096  # replicates per conditioned_counts chunk
 _H_LIFETIME = slot_hash(0)
 _H_OFFSPRING = slot_hash(1)
 _H_DISPLACEMENT = slot_hash(2)
+_H_OFFSPRING_INT = int(_H_OFFSPRING)
 
 
 class CapExceeded(RuntimeError):
@@ -65,7 +75,8 @@ class GenealogyArena:
 
     `lifetime` stores the full drawn lifetime even when the particle outlives
     the horizon; `displacement` covers motion from max(birth, 0) to
-    min(death, horizon).
+    min(death, horizon).  Displacements are drawn after the batch's waves,
+    for kept runs only, with the same keys and values a wave would draw.
     """
 
     parent: np.ndarray
@@ -116,23 +127,35 @@ def _offspring_count(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return n
 
 
-def _wave_keys(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray):
+class _Batch:
+    """A batch's constant wave arguments, resolved once: the run keys, the
+    per-replicate id counters `next_id` (advanced in place by every wave) and
+    the offspring levels below 1, with their addresses for the kernel."""
+
+    def __init__(self, run_keys: np.ndarray, next_id: np.ndarray, levels=np.empty(0)):
+        if next_id.dtype != np.int64 or not next_id.flags.carray:
+            raise TypeError("next_id must be a writable C-contiguous int64 array")
+        self.run_keys = np.ascontiguousarray(run_keys, np.uint64)
+        self.next_id = next_id
+        self.levels = np.ascontiguousarray(levels, float)
+        if _kernel.LIB is not None:
+            self.at = [_kernel.address(a) for a in (self.run_keys, next_id, self.levels)]
+
+
+def _wave_keys(b: _Batch, rep: np.ndarray):
     """Ids and keys for a nonempty wave's rows from their nondecreasing
-    replicates, continuing each replicate's count in `next_id`, which is
-    advanced in place.  Returns the ids, the keys derive_key(run_keys[rep], id)
-    and one past the largest id in the wave."""
+    replicates, continuing each replicate's count in `b.next_id`.  Returns the
+    ids, the keys derive_key(b.run_keys[rep], id) and one past the largest id."""
     if _kernel.LIB is None:
-        return _wave_keys_numpy(rep, run_keys, next_id)
-    if next_id.dtype != np.int64 or not next_id.flags.carray:
-        raise TypeError("next_id must be a writable C-contiguous int64 array")
+        return _wave_keys_numpy(rep, b.run_keys, b.next_id)
     rep = np.ascontiguousarray(rep, np.int64)
-    run_keys = np.ascontiguousarray(run_keys, np.uint64)
-    local, keys = np.empty(rep.size, np.int64), np.empty(rep.size, np.uint64)
-    top = _kernel.LIB.wave_keys(*map(_kernel.address, (rep, run_keys)), int(_CHILD_SALT),
-                                *map(_kernel.address, (next_id, local, keys)), rep.size, next_id.size)
+    block = np.empty((2, rep.size), np.int64)  # ids and keys, one allocation
+    at = _kernel.address(block)
+    top = _kernel.LIB.wave_keys(_kernel.address(rep), b.at[0], _CHILD_SALT_INT, b.at[1], at,
+                                at + 8 * rep.size, rep.size, b.next_id.size)
     if top < 0:
-        raise IndexError(f"a replicate lies outside [0, {next_id.size})")
-    return local, keys, top
+        raise IndexError(f"a replicate lies outside [0, {b.next_id.size})")
+    return block[0], block[1].view(np.uint64), top
 
 
 def _wave_keys_numpy(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray):
@@ -151,36 +174,101 @@ def _wave_keys_numpy(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray)
     return local, keys, int(base.max())
 
 
-def _branch(alive, keys, cum, rep, death, pos_end, local=None):
+def _branch(b: _Batch, alive, keys, rep, death, pos_end=None, local=None):
     """The children of a wave's dead rows, in row order: their replicates,
-    births (the parent's death), start positions (the parent's end) and, if
-    `local` (the rows' ids) is given, parent ids; else None."""
+    births (the parent's death), start positions (the parent's end) if
+    `pos_end` is given and parent ids if `local` (the rows' ids) is; else None."""
     if _kernel.LIB is None:
-        return _branch_numpy(alive, keys, cum, rep, death, pos_end, local)
-    addr = lambda a: None if a is None else _kernel.address(a)
+        return _branch_numpy(alive, keys, b.levels, rep, death, pos_end, local)
+    addr = _kernel.address
     alive, keys = np.ascontiguousarray(alive, np.bool_), np.ascontiguousarray(keys, np.uint64)
-    levels = np.ascontiguousarray(cum[cum < 1.0])
     kids = np.empty(alive.size, np.int64)
-    total = _kernel.LIB.offspring(addr(alive), addr(keys), int(_H_OFFSPRING), addr(levels), levels.size,
+    total = _kernel.LIB.offspring(addr(alive), addr(keys), _H_OFFSPRING_INT, b.at[2], b.levels.size,
                                   addr(kids), kids.size)
-    rep = np.ascontiguousarray(rep, np.int64)
-    death, pos_end = np.ascontiguousarray(death, float), np.ascontiguousarray(pos_end, float)
-    parent = None
-    if local is not None:
-        local, parent = np.ascontiguousarray(local, np.int64), np.empty(total, np.int64)
-    children = np.empty(total, np.int64), np.empty(total), np.empty(total)
-    _kernel.LIB.branch(*map(addr, (kids, rep, death, pos_end, local, *children, parent)), kids.size)
-    return (*children, parent)
+    types = (np.int64, float, float, np.int64)
+    cols = [None if c is None else np.ascontiguousarray(c, t)
+            for c, t in zip((rep, death, pos_end, local), types)]
+    block = np.empty((sum(c is not None for c in cols), total), np.int64)  # one allocation
+    at, k, children, out = addr(block), 0, [], []
+    for c, t in zip(cols, types):  # each given column's children take the next row of the block
+        children.append(None if c is None else block[k].view(t))
+        out.append(None if c is None else at + 8 * total * k)
+        k += c is not None
+    _kernel.LIB.branch(addr(kids), *[None if c is None else addr(c) for c in cols], *out, kids.size)
+    return tuple(children)
 
 
-def _branch_numpy(alive, keys, cum, rep, death, pos_end, local=None):
+def _branch_numpy(alive, keys, cum, rep, death, pos_end=None, local=None):
     """_branch in numpy: its oracle and its path without the kernel."""
     src = np.flatnonzero(~alive)
     kids = _offspring_count(slot_uniform(keys[src], _H_OFFSPRING), cum)
     has = kids > 0
     src, kids = src[has], kids[has]
-    parent = None if local is None else np.repeat(local[src], kids)
-    return np.repeat(rep[src], kids), np.repeat(death[src], kids), np.repeat(pos_end[src], kids), parent
+    copy = lambda col: None if col is None else np.repeat(col[src], kids)
+    return copy(rep), copy(death), copy(pos_end), copy(local)
+
+
+def _gather(rep: np.ndarray, rows: np.ndarray, sizes: np.ndarray):
+    """Where the rows of replicates `rows` lie in the wave-ordered replicate
+    column `rep`, run after run and in id order, and the runs' bounds in that
+    list; replicate r has sizes[r] rows."""
+    bounds = np.zeros(rows.size + 1, np.int64)
+    np.cumsum(sizes[rows], out=bounds[1:])
+    if _kernel.LIB is None:
+        return _gather_numpy(rep, rows, sizes.size), bounds
+    rep = np.ascontiguousarray(rep, np.int64)
+    slot = np.full(sizes.size, -1, np.int64)
+    slot[rows] = np.arange(rows.size)
+    cursor, idx = bounds[:-1].copy(), np.empty(bounds[-1], np.int64)
+    _kernel.LIB.gather(*map(_kernel.address, (rep, slot, cursor, idx)), rep.size)
+    return idx, bounds
+
+
+def _gather_numpy(rep: np.ndarray, rows: np.ndarray, n_rep: int) -> np.ndarray:
+    """_gather's row list by a stable sort: its oracle and its path without the kernel."""
+    order = np.argsort(rep, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rep, minlength=n_rep))))
+    lo, hi = bounds[rows], bounds[rows + 1]
+    return np.concatenate([order[:0]] + [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def _ancestry_sum(parent, disp, bounds, root) -> np.ndarray:
+    """Positions of runs laid out back to back (run r is rows bounds[r] to
+    bounds[r + 1], parents before children, `parent` local to the run): a root
+    adds its displacement to root[r], any other row to its parent's position."""
+    if _kernel.LIB is None:
+        return _ancestry_sum_numpy(parent, disp, bounds, root)
+    parent, disp = np.ascontiguousarray(parent, np.int64), np.ascontiguousarray(disp, float)
+    bounds, root = np.ascontiguousarray(bounds, np.int64), np.ascontiguousarray(root, float)
+    pos = np.empty(disp.size)
+    _kernel.LIB.ancestry(*map(_kernel.address, (parent, disp, bounds, root)), root.size,
+                         _kernel.address(pos))
+    return pos
+
+
+def _ancestry_sum_numpy(parent, disp, bounds, root) -> np.ndarray:
+    """_ancestry_sum in numpy, depth by depth so that every row adds its
+    displacement to the same value as in the kernel: its oracle and its path
+    without the kernel."""
+    run = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    up = np.where(parent < 0, -1, bounds[run] + parent)  # the parent's row
+    depth, jump = (up >= 0).astype(np.int64), up.copy()
+    while True:  # pointer jumping: depth[j] is the number of steps from j to its root
+        has = np.flatnonzero(jump >= 0)
+        if not has.size:
+            break
+        to = jump[has]
+        depth[has] += depth[to]
+        jump[has] = jump[to]
+    order = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth, minlength=1))
+    pos = np.empty(disp.size)
+    roots = order[: ends[0]]
+    pos[roots] = root[run[roots]] + disp[roots]
+    for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        rows = order[lo:hi]
+        pos[rows] = pos[up[rows]] + disp[rows]
+    return pos
 
 
 def _batch_simulate(
@@ -198,10 +286,12 @@ def _batch_simulate(
 
     run_keys: one uint64 key per replicate.  Roots must be sorted by rep, so
     that every wave's rows are and a wave costs O(its rows), not O(n_rep).
-    mode: "arena" returns the per-particle columns in wave order, their
-    stable order by rep and per-rep bounds into that order; "snapshot"
-    returns alive rows only; "counts" returns N_t per replicate.  The last
-    item of every tuple returned is N_t per replicate.
+    mode: "arena" takes one root per replicate and returns the tree's
+    columns (rep, parent, birth, lifetime, alive) in wave order, the rows per
+    replicate, the run keys and the root positions, and draws no motion:
+    `_extract_runs` draws it for the kept runs.  "snapshot" returns alive
+    rows only; "counts" returns N_t per replicate.  The last item of every
+    tuple returned is N_t per replicate.
     """
     n_rep = run_keys.size
     law = model.lifetime
@@ -216,15 +306,19 @@ def _batch_simulate(
     rep = np.asarray(root_rep, dtype=np.int64)
     birth = np.asarray(root_birth, dtype=float)
     pos_start = np.asarray(root_position, dtype=float)
-    parent = np.full(rep.size, -1, dtype=np.int64) if mode == "arena" else None
-    next_id = np.zeros(n_rep, dtype=np.int64)
-    acc = {k: [] for k in ("rep", "parent", "birth", "lifetime", "disp", "pos", "alive")}
+    arena = mode == "arena"
+    if arena and not np.array_equal(rep, np.arange(n_rep)):
+        raise ValueError("an arena batch takes one root per replicate")
+    parent = np.full(rep.size, -1, dtype=np.int64) if arena else None
+    b = _Batch(run_keys, np.zeros(n_rep, dtype=np.int64), cum[cum < 1.0])
+    acc = {k: [] for k in ("rep", "parent", "birth", "lifetime", "alive")}
     alive_rep = [np.empty(0, np.int64)]
     snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
 
     wave = 0
+    pos_end = None
     while rep.size:
-        local, keys, top = _wave_keys(rep, run_keys, next_id)
+        local, keys, top = _wave_keys(b, rep)
 
         u_life = slot_uniform(keys, _H_LIFETIME)
         if wave == 0:
@@ -240,25 +334,27 @@ def _batch_simulate(
         death = birth + lifetime
         alive = death > horizon
 
-        duration = np.minimum(death, horizon) - np.maximum(birth, 0.0)
-        z = ndtri(slot_uniform(keys, _H_DISPLACEMENT))
-        disp = np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z
-        pos_end = pos_start + disp
+        # arena motion is drawn after the loop, for kept runs only (_extract_runs);
+        # counts draws it unread until the benchmark stops requiring it (ROADMAP item 3)
+        if not arena:
+            duration = np.minimum(death, horizon) - np.maximum(birth, 0.0)
+            z = ndtri(slot_uniform(keys, _H_DISPLACEMENT))
+            pos_end = pos_start + np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z
 
         if top > particle_cap:  # only this wave's replicates have grown since the last check
-            bad = np.flatnonzero(next_id > particle_cap)
+            bad = np.flatnonzero(b.next_id > particle_cap)
             raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
 
-        if mode == "arena":
-            for col, v in zip(acc.values(), (rep, parent, birth, lifetime, disp, pos_end, alive)):
+        if arena:
+            for col, v in zip(acc.values(), (rep, parent, birth, lifetime, alive)):
                 col.append(v)
         elif mode == "snapshot":
             snap_birth.append(birth[alive])
             snap_pos.append(pos_end[alive])
         alive_rep.append(rep[alive])
 
-        rep, birth, pos_start, parent = _branch(alive, keys, cum, rep, death, pos_end,
-                                                local if mode == "arena" else None)
+        rep, birth, pos_start, parent = _branch(b, alive, keys, rep, death, pos_end,
+                                                local if arena else None)
         wave += 1
 
     alive_rep = np.concatenate(alive_rep)
@@ -268,12 +364,8 @@ def _batch_simulate(
     if mode == "snapshot":
         ages = horizon - np.concatenate(snap_birth)
         return alive_rep, ages, np.concatenate(snap_pos), counts_alive
-
-    # replicate r's rows, in id order, are order[bounds[r]:bounds[r + 1]]
-    rep = np.concatenate(acc.pop("rep"))
-    order = np.argsort(rep, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(rep, minlength=n_rep))))
-    return {k: np.concatenate(v) for k, v in acc.items()}, order, bounds, counts_alive
+    cols = {k: np.concatenate(v) for k, v in acc.items()}
+    return cols, b.next_id, b.run_keys, np.asarray(root_position, dtype=float), counts_alive
 
 
 def _single_root_arrays(n_rep: int, model: ValidatedModel):
@@ -283,37 +375,47 @@ def _single_root_arrays(n_rep: int, model: ValidatedModel):
     return rep, birth, pos
 
 
-def _extract_runs(horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]:
+def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[RunRecord]:
     """RunRecords for the replicates `rows` of an arena batch.
 
-    One gather per column takes exactly these runs' rows, run after run, so
-    the records keep none of the batch's other rows (rejected attempts
-    included) alive; each record's arrays are slices of those gathers.
-    Positions are only gathered for the alive rows, which the snapshots hold.
+    One counting pass (`_gather`) lists exactly these runs' rows, run after
+    run in id order, and one take per column gathers them, so the records
+    keep none of the batch's other rows (rejected attempts included) alive;
+    each record's arrays are slices of those gathers.  The batch holds the
+    tree only: the kept rows' motion is drawn here, in one pass, from the
+    same keys derive_key(run key, id) and slot as a wave would draw it, and
+    `_ancestry_sum` adds the displacements down each tree, so positions match
+    a wave's bit for bit.  Positions are kept for the alive rows only, which
+    the snapshots hold.
     """
-    cols, order, bounds, _ = batch
+    cols, sizes, run_keys, root, _ = batch
+    if not rows.size:
+        return []
     horizon = float(horizon)
-    lo, hi = bounds[rows], bounds[rows + 1]
-    ends = np.cumsum(hi - lo)
-    starts = ends - (hi - lo)
-    idx = np.concatenate([order[:0]] + [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
-    kept = {k: cols[k].take(idx) for k in ("parent", "birth", "lifetime", "disp", "alive")}
-    alive_at = np.flatnonzero(kept["alive"])
-    alive_bounds = np.searchsorted(alive_at, np.append(starts, idx.size))
-    ids = alive_at - np.repeat(starts, np.diff(alive_bounds))
-    ages = horizon - kept["birth"][alive_at]
-    positions = cols["pos"].take(idx[alive_at])
+    idx, bounds = _gather(cols["rep"], rows, sizes)
+    parent, birth, lifetime, alive = (cols[k].take(idx) for k in ("parent", "birth", "lifetime", "alive"))
+    lengths = np.diff(bounds)
+    ids, keys, _ = _wave_keys(_Batch(run_keys[rows], np.zeros(rows.size, np.int64)),
+                              np.repeat(np.arange(rows.size), lengths))
+    z = ndtri(slot_uniform(keys, _H_DISPLACEMENT))
+    duration = np.minimum(birth + lifetime, horizon) - np.maximum(birth, 0.0)
+    disp = np.sqrt(np.asarray(model.motion.variance(duration), dtype=float)) * z
+    alive_at = np.flatnonzero(alive)
+    positions = _ancestry_sum(parent, disp, bounds, root[rows])[alive_at]
+    alive_bounds = np.searchsorted(alive_at, bounds)
+    ages = horizon - birth[alive_at]
+    ids = ids[alive_at]
 
     runs = []
     for i, (s, e, a, b) in enumerate(
-        zip(starts.tolist(), ends.tolist(), alive_bounds[:-1].tolist(), alive_bounds[1:].tolist())
+        zip(bounds[:-1].tolist(), bounds[1:].tolist(), alive_bounds[:-1].tolist(), alive_bounds[1:].tolist())
     ):
         arena = GenealogyArena(
-            parent=kept["parent"][s:e],
-            birth=kept["birth"][s:e],
-            lifetime=kept["lifetime"][s:e],
-            displacement=kept["disp"][s:e],
-            alive=kept["alive"][s:e],
+            parent=parent[s:e],
+            birth=birth[s:e],
+            lifetime=lifetime[s:e],
+            displacement=disp[s:e],
+            alive=alive[s:e],
             horizon=horizon,
         )
         snapshot = Snapshot(ages=ages[a:b], positions=positions[a:b], ids=ids[a:b], horizon=horizon)
@@ -332,7 +434,7 @@ def run_once(model: ValidatedModel, horizon: float, rng: RandomStream) -> RunRec
     rep, birth, pos = _single_root_arrays(1, model)
     keys = np.array([rng.key], dtype=np.uint64)
     batch = _batch_simulate(model, horizon, keys, rep, birth, pos, DEFAULT_PARTICLE_CAP, "arena")
-    return _extract_runs(horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
+    return _extract_runs(model, horizon, batch, np.zeros(1, np.int64), [1], [rng.path])[0]
 
 
 def run_conditioned(model: ValidatedModel, horizon: float, rng: RandomStream) -> RunRecord:
@@ -402,6 +504,8 @@ def _settle(model, horizon, rng, start, stop, particle_cap, conditioned, mode):
 
 
 def _counts(model, horizon, rng, reps, chunk_size, conditioned):
+    if reps < 1:
+        raise ConfigError(f"reps {reps} must be positive")
     n_out = np.empty(reps, dtype=np.int64)
     att_out = np.empty(reps, dtype=np.int64) if conditioned else None
     for start in range(0, reps, chunk_size):
@@ -464,7 +568,7 @@ def iter_runs(
         ):
             done = done.tolist()
             paths = [rng.path + (r,) for r in done]
-            runs = _extract_runs(horizon, batch, rows, attempts.tolist(), paths)
+            runs = _extract_runs(model, horizon, batch, rows, attempts.tolist(), paths)
             results.update(zip(done, runs))
             del batch
         for r in range(start, stop):

@@ -93,6 +93,27 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
                 driver(t)
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_counts_drivers_reject_reps_below_one(monkeypatch, reps):
+    monkeypatch.setattr(engine, "slot_uniform", lambda *args: pytest.fail("a wave was simulated"))
+    for driver in (survival_counts, conditioned_counts):
+        with pytest.raises(ConfigError, match="must be positive"):
+            driver(MODEL, 5.0, stream(1), reps)
+
+
+def test_arena_draws_normals_for_kept_rows_only(monkeypatch):
+    # the waves draw the tree only; motion is drawn once, for the runs kept
+    draws = []
+    ndtri = engine.ndtri
+    monkeypatch.setattr(engine, "ndtri", lambda u: draws.append(u.size) or ndtri(u))
+    runs = list(iter_runs(MODEL, 8.0, stream(4), 40, conditioned=True))
+    assert sum(r.attempts for r in runs) > len(runs)  # rejected attempts were simulated
+    assert sum(draws) == sum(len(r.arena) for r in runs)
+    draws.clear()
+    run = run_once(MODEL, 8.0, stream(4, 0))
+    assert draws == [len(run.arena)]
+
+
 def test_seed_7_0_identical_arenas():
     a = run_once(MODEL, 10.0, stream(7, 0))
     b = run_once(MODEL, 10.0, stream(7, 0))

@@ -106,7 +106,7 @@ def test_wave_keys_matches_numpy(groups, spare, start_max, random):
     run_keys = np.array([random.getrandbits(64) for _ in range(m)], dtype=np.uint64)
     before = np.concatenate([rep.view(np.uint64), run_keys])
     got_next, want_next = start.copy(), start.copy()
-    *got, got_top = engine._wave_keys(rep, run_keys, got_next)
+    *got, got_top = engine._wave_keys(engine._Batch(run_keys, got_next), rep)
     *want, want_top = engine._wave_keys_numpy(rep, run_keys, want_next)
     for g, w in zip(got, want):
         _check(g, w, np.concatenate([rep.view(np.uint64), run_keys]), before)
@@ -118,7 +118,8 @@ def test_wave_keys_matches_numpy(groups, spare, start_max, random):
 
 @pytest.mark.parametrize("rep", [[0, 1, 3], [-1, 0]])
 def test_wave_keys_rejects_a_replicate_out_of_range(rep):
-    for wave_keys in (engine._wave_keys, engine._wave_keys_numpy):
+    kernel = lambda rep, keys, next_id: engine._wave_keys(engine._Batch(keys, next_id), rep)
+    for wave_keys in (kernel, engine._wave_keys_numpy):
         with pytest.raises(IndexError):
             wave_keys(np.array(rep, dtype=np.int64), np.zeros(3, np.uint64), np.zeros(3, np.int64))
 
@@ -140,9 +141,9 @@ LAWS = st.sampled_from([
 ROW = st.tuples(st.booleans(), st.one_of(U64, HIGH, st.just(TIE)), U64, U64)
 
 
-@given(GROUPS, st.data(), LAWS, st.booleans(), st.booleans(), st.booleans())
+@given(GROUPS, st.data(), LAWS, st.booleans(), st.booleans(), st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_branch_matches_numpy(groups, data, law, all_alive, arena, strided):
+def test_branch_matches_numpy(groups, data, law, all_alive, arena, motion, strided):
     rep = _replicates(groups)
     rows = data.draw(st.lists(ROW, min_size=rep.size, max_size=rep.size))
     alive, keys, death, pos_end = (np.array(col, dtype=np.uint64) for col in zip(*rows))
@@ -155,11 +156,14 @@ def test_branch_matches_numpy(groups, data, law, all_alive, arena, strided):
     before = [a.copy() for a in inputs]
     cum = OffspringLaw(law).cumulative()
     alive, keys, rep, death, pos_end, *local = inputs
+    pos_end = pos_end if motion else None  # an arena wave draws no motion
     local = local[0] if arena else None
-    got = engine._branch(alive, keys, cum, rep, death, pos_end, local)
+    batch = engine._Batch(np.zeros(1, np.uint64), np.zeros(1, np.int64), cum[cum < 1.0])
+    got = engine._branch(batch, alive, keys, rep, death, pos_end, local)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "LIB", None)  # the oracle draws its uniforms in numpy too
         want = engine._branch_numpy(alive, keys, cum, rep, death, pos_end, local)
+    assert (got[2] is None) == (want[2] is None) == (not motion)
     assert (got[3] is None) == (want[3] is None) == (not arena)
     for g, w in zip(got, want):
         if w is not None:
@@ -169,11 +173,67 @@ def test_branch_matches_numpy(groups, data, law, all_alive, arena, strided):
         assert a.tobytes() == b.tobytes()  # inputs are never written
 
 
+def _runs(sizes, data):
+    """Kept runs back to back: run r has sizes[r] rows, and a row's parent is
+    -1 (a root) or an earlier row of its run."""
+    parent = [data.draw(st.integers(-1, j - 1)) for n in sizes for j in range(n)]
+    return np.array(parent, dtype=np.int64), np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.integers(1, 8), max_size=6), st.data(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_ancestry_sum_matches_numpy(sizes, data, strided):
+    parent, bounds = _runs(sizes, data)
+    disp = np.array(data.draw(st.lists(FINITE, min_size=parent.size, max_size=parent.size)))
+    root = np.array(data.draw(st.lists(FINITE, min_size=len(sizes), max_size=len(sizes))))
+    inputs = [parent, disp.reshape(-1), bounds, root.reshape(-1)]
+    if strided:
+        inputs = [np.repeat(a, 2)[::2] for a in inputs]
+    before = [a.copy() for a in inputs]
+    got = engine._ancestry_sum(*inputs)
+    want = engine._ancestry_sum_numpy(*inputs)
+    assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    # a row's position is its parent's (or its run's root) plus its displacement
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    start = np.where(parent < 0, root[run], got[np.maximum(bounds[run] + parent, 0)])
+    assert np.array_equal(got, start + disp)
+
+
+@given(st.lists(st.integers(0, 7), max_size=60), st.integers(0, 3), st.data(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gather_matches_numpy(rep, spare, data, strided):
+    rep = np.array(rep, dtype=np.int64)
+    sizes = np.bincount(rep, minlength=8 + spare)  # spare replicates have no rows
+    rows = np.array(data.draw(st.permutations(range(sizes.size))), dtype=np.int64)
+    rows = rows[: data.draw(st.integers(0, rows.size))]  # the kept set may be empty
+    if strided:
+        rep, rows = np.repeat(rep, 2)[::2], np.repeat(rows, 2)[::2]
+    before = rep.copy()
+    idx, bounds = engine._gather(rep, rows, sizes)
+    want = engine._gather_numpy(rep, rows, sizes.size)
+    assert idx.dtype == want.dtype and np.array_equal(idx, want)
+    assert np.array_equal(rep, before)
+    assert np.array_equal(bounds, np.concatenate(([0], np.cumsum(sizes[rows]))))
+    # run after run, each run's rows in their wave order
+    assert np.array_equal(rep[idx], np.repeat(rows, sizes[rows]))
+    assert all(np.all(np.diff(idx[a:b]) > 0) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 def test_build_writes_only_the_cached_library(monkeypatch, tmp_path, capfd, recwarn):
-    monkeypatch.setattr(_kernel, "_CACHE", tmp_path / "cache")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_kernel-0123abcd.so").write_bytes(b"a build of another source")
+    (cache / "notes.txt").write_text("not a kernel build")
+    monkeypatch.setattr(_kernel, "_CACHE", cache)
     lib = _kernel._load()
     assert lib is not None and not recwarn.list
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [lib._name.rsplit("/", 1)[1]]
+    # the stale build is removed, the unrelated file is not
+    assert sorted(p.name for p in cache.iterdir()) == sorted([lib._name.rsplit("/", 1)[1], "notes.txt"])
     assert capfd.readouterr() == ("", "")
     z = np.arange(1000, dtype=np.uint64)
     monkeypatch.setattr(_kernel, "LIB", lib)
