@@ -1,15 +1,20 @@
 """The exact-integer and copy-only part of an engine wave in C, compiled once.
 
-`mix_xor`, `uniform_xor`, `wave_keys`, the pair `offspring` + `branch`, `gather`
-and `ancestry` match `rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the
+`mix_xor`, `uniform_xor`, `wave_keys`, `offspring`, `branch`, `gather` and
+`ancestry` match `rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the
 same IEEE steps and clamp below 1), `engine._wave_keys_numpy`,
-`engine._branch_numpy`, `engine._gather_numpy` and `engine._ancestry_sum_numpy`
-bit for bit; `wave_keys` returns -1 for a replicate outside [0, m).  `gather`
-cuts kept runs out of a round's wave-ordered rows with one counting pass, and
-`ancestry` sums each kept row's position from its parent's in id order.  Beyond
-the u64 -> double map the C only adds, compares and copies doubles, one IEEE
-step at a time as numpy takes them, so it needs no libm.  Without the library
-`LIB` is None, a RuntimeWarning says why, and callers take the oracles.
+`engine._offspring_numpy`, `engine._branch_numpy`, `engine._gather_numpy` and
+`engine._ancestry_sum_numpy` bit for bit.  `wave_keys` numbers a wave's rows,
+derives their keys and, unless given NULL, draws their lifetime uniforms; it
+returns -1 for a replicate outside [0, m).  `offspring` adds each row's
+lifetime to its birth, compares the death with the horizon and counts the
+dead rows' children; `branch` then copies the parents' columns into the
+children's rows.  `gather` cuts kept runs out of a round's wave-ordered rows
+with one counting pass, and `ancestry` sums each kept row's position from its
+parent's in id order.  Beyond the u64 -> double map the C only hashes, adds,
+compares and copies, one IEEE step at a time as numpy takes them, so it needs
+no libm.  Without the library `LIB` is None, a RuntimeWarning says why, and
+callers take the oracles.
 """
 
 import contextlib
@@ -38,22 +43,26 @@ void mix_xor(const uint64_t *a, uint64_t salt, uint64_t *out, int64_t n) {
 void uniform_xor(const uint64_t *a, uint64_t salt, double *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) out[i] = unit(splitmix64(a[i] ^ salt));
 }
-int64_t wave_keys(const int64_t *rep, const uint64_t *run_keys, uint64_t salt, int64_t *next_id,
-                  int64_t *local, uint64_t *keys, int64_t n, int64_t m) {
+int64_t wave_keys(const int64_t *rep, const uint64_t *run_keys, uint64_t salt, uint64_t life_slot,
+                  int64_t *next_id, int64_t *local, uint64_t *keys, double *u_life, int64_t n, int64_t m) {
     int64_t top = 0;
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < n; i++) {  /* u_life is optional (NULL) */
         if (rep[i] < 0 || rep[i] >= m) return -1;
         local[i] = next_id[rep[i]]++;
         if (local[i] >= top) top = local[i] + 1;
         keys[i] = splitmix64(run_keys[rep[i]] ^ splitmix64((uint64_t)local[i] ^ salt));
+        if (u_life) u_life[i] = unit(splitmix64(keys[i] ^ life_slot));
     }
     return top;
 }
-int64_t offspring(const uint8_t *alive, const uint64_t *keys, uint64_t slot, const double *levels,
-                  int64_t n_levels, int64_t *kids, int64_t n) {
+int64_t offspring(const double *birth, const double *lifetime, double horizon, const uint64_t *keys,
+                  uint64_t slot, const double *levels, int64_t n_levels, double *death, uint8_t *alive,
+                  int64_t *kids, int64_t n) {
     int64_t total = 0;
     for (int64_t i = 0; i < n; i++) {  /* every level is compared: an early exit mispredicts */
-        double u = alive[i] ? -1.0 : unit(splitmix64(keys[i] ^ slot));  /* alive: no children */
+        double d = death[i] = birth[i] + lifetime[i];
+        int a = alive[i] = d > horizon;
+        double u = a ? -1.0 : unit(splitmix64(keys[i] ^ slot));  /* alive: no children */
         int64_t k = 0;
         for (int64_t l = 0; l < n_levels; l++) k += levels[l] <= u;
         total += kids[i] = k;
@@ -135,8 +144,9 @@ def _load():
         return None
     for fn in (lib.mix_xor, lib.uniform_xor):
         fn.argtypes, fn.restype = (_P, _U64, _P, _I64), None
-    lib.wave_keys.argtypes, lib.wave_keys.restype = (_P, _P, _U64, _P, _P, _P, _I64, _I64), _I64
-    lib.offspring.argtypes, lib.offspring.restype = (_P, _P, _U64, _P, _I64, _P, _I64), _I64
+    lib.wave_keys.argtypes, lib.wave_keys.restype = (_P, _P, _U64, _U64, _P, _P, _P, _P, _I64, _I64), _I64
+    lib.offspring.argtypes = (_P, _P, ctypes.c_double, _P, _U64, _P, _I64, _P, _P, _P, _I64)
+    lib.offspring.restype = _I64
     lib.branch.argtypes, lib.branch.restype = (_P,) * 9 + (_I64,), None
     lib.gather.argtypes, lib.gather.restype = (_P,) * 4 + (_I64,), None
     lib.ancestry.argtypes, lib.ancestry.restype = (_P,) * 4 + (_I64, _P), None

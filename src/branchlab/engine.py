@@ -9,10 +9,17 @@ batched drivers produce for the same key.  Particle ids are assigned in
 generation order (parents always precede children).  Roots must come
 sorted by replicate: a wave's rows then are too, and are numbered per run of
 equal replicates, so a wave costs O(its own rows) however big the batch.
-A wave's ids, keys, uniform draws and offspring branching (children's counts
-and copied columns) run in the C kernel `_kernel` (numpy without it); the
-lifetime quantiles, normal quantiles and motion variances stay in numpy, and
-the C only adds, compares and copies doubles.
+A wave is two calls of the C kernel `_kernel` (numpy without it) around the
+lifetime law's `ppf`: `_wave_keys` numbers the rows and draws their keys and
+lifetime uniforms, `_offspring` their deaths, whether they outlive the
+horizon and their children counts; `_branch` then copies the parents'
+columns into the children's rows.  The lifetime quantiles, normal quantiles
+and motion variances stay in numpy, and the C only hashes, adds, compares
+and copies.  A wave's rows and its children live in `_Table`s of named
+columns: an arena batch keeps all its rows in one table, each wave's
+children written straight after it, which doubles when they do not fit; a
+counts or snapshot wave writes its children into a second table, and the
+two trade places.
 
 Only the tree (lifetimes and offspring) decides whether an attempt survives,
 and a row's displacement is a pure function of its key and life span.  So an
@@ -35,7 +42,8 @@ from scipy.special import ndtri
 
 from . import _kernel
 from .model import ConfigError, ValidatedModel
-from .rng import _CHILD_SALT, _CHILD_SALT_INT, RandomStream, _mix_numpy, derive_key, slot_hash, slot_uniform
+from .rng import (_CHILD_SALT, _CHILD_SALT_INT, RandomStream, _mix_numpy, derive_key, slot_hash, slot_uniform,
+                  uniform_from_u64)
 
 DEFAULT_PARTICLE_CAP = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -46,7 +54,7 @@ _CONDITIONED_CHUNK = 4096  # replicates per conditioned_counts chunk
 _H_LIFETIME = slot_hash(0)
 _H_OFFSPRING = slot_hash(1)
 _H_DISPLACEMENT = slot_hash(2)
-_H_OFFSPRING_INT = int(_H_OFFSPRING)
+_H_LIFETIME_INT, _H_OFFSPRING_INT = int(_H_LIFETIME), int(_H_OFFSPRING)
 
 
 class CapExceeded(RuntimeError):
@@ -142,24 +150,62 @@ class _Batch:
             self.at = [_kernel.address(a) for a in (self.run_keys, next_id, self.levels)]
 
 
-def _wave_keys(b: _Batch, rep: np.ndarray):
-    """Ids and keys for a nonempty wave's rows from their nondecreasing
-    replicates, continuing each replicate's count in `b.next_id`.  Returns the
-    ids, the keys derive_key(b.run_keys[rep], id) and one past the largest id."""
+_I8, _U8, _F8, _B1 = map(np.dtype, (np.int64, np.uint64, np.float64, np.bool_))
+_TREE = {"rep": _I8, "parent": _I8, "birth": _F8, "lifetime": _F8, "alive": _B1}  # an arena batch
+_FRONT = {"rep": _I8, "birth": _F8, "pos": _F8, "lifetime": _F8, "alive": _B1}  # one counts/snapshot wave
+_SCRATCH = {"local": _I8, "keys": _U8, "u_life": _F8, "death": _F8, "kids": _I8}  # one wave's work
+_TREE_START_MAX = 1 << 22  # rows an arena table starts with at most
+
+
+class _Table:
+    """`size` rows of named columns: `col` gives rows lo:hi of a column, and
+    `at[name]` is the kernel address of its row 0.  Each column is its own
+    allocation: cut from one buffer, a wave's columns sat a fixed distance
+    apart, which made the offspring pass up to 3x slower, and an arena
+    batch's buffer, once freed, raised glibc's mmap threshold so far that the
+    heap it kept raised many-survivors' peak RSS by 13%."""
+
+    def __init__(self, size: int, columns: dict):
+        self.size, self.columns = size, columns
+        self.cols = {name: np.empty(size, dtype) for name, dtype in columns.items()}
+        self.at = {name: _kernel.address(c) for name, c in self.cols.items()} if _kernel.LIB is not None else {}
+
+    def col(self, name: str, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        return self.cols[name][lo:hi]
+
+    def fit(self, need: int, used: int = 0) -> "_Table":
+        """This table if it holds `need` rows, else a table of max(2 * size,
+        need) rows holding a copy of this one's first `used` rows."""
+        if need <= self.size:
+            return self
+        out = _Table(max(2 * self.size, need), self.columns)
+        for name, c in self.cols.items():
+            out.cols[name][:used] = c[:used]
+        return out
+
+
+def _wave_keys(b: _Batch, t: _Table, lo: int, hi: int, w: _Table) -> int:
+    """Ids, keys derive_key(b.run_keys[rep], id) and, if `w` has the column,
+    lifetime uniforms of the rows lo:hi of `t` (nonempty, replicates
+    nondecreasing) into the first rows of `w`, continuing each replicate's
+    count in `b.next_id`.  Returns one past the largest id."""
+    n, life = hi - lo, "u_life" in w.columns
     if _kernel.LIB is None:
-        return _wave_keys_numpy(rep, b.run_keys, b.next_id)
-    rep = np.ascontiguousarray(rep, np.int64)
-    block = np.empty((2, rep.size), np.int64)  # ids and keys, one allocation
-    at = _kernel.address(block)
-    top = _kernel.LIB.wave_keys(_kernel.address(rep), b.at[0], _CHILD_SALT_INT, b.at[1], at,
-                                at + 8 * rep.size, rep.size, b.next_id.size)
+        *cols, top = _wave_keys_numpy(t.col("rep", lo, hi), b.run_keys, b.next_id)
+        for name, v in zip(("local", "keys", "u_life")[: 2 + life], cols):
+            w.col(name, 0, n)[...] = v
+        return top
+    top = _kernel.LIB.wave_keys(t.at["rep"] + 8 * lo, b.at[0], _CHILD_SALT_INT, _H_LIFETIME_INT, b.at[1],
+                                w.at["local"], w.at["keys"], w.at["u_life"] if life else None,
+                                n, b.next_id.size)
     if top < 0:
         raise IndexError(f"a replicate lies outside [0, {b.next_id.size})")
-    return block[0], block[1].view(np.uint64), top
+    return top
 
 
 def _wave_keys_numpy(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray):
-    """_wave_keys in numpy: its oracle and its path without the kernel."""
+    """_wave_keys in numpy, returning (ids, keys, lifetime uniforms, one past
+    the largest id): its oracle and its path without the kernel."""
     if rep[0] < 0:
         raise IndexError(f"a replicate lies outside [0, {next_id.size})")
     bounds = np.concatenate(([0], np.flatnonzero(rep[1:] != rep[:-1]) + 1, [rep.size]))
@@ -171,40 +217,61 @@ def _wave_keys_numpy(rep: np.ndarray, run_keys: np.ndarray, next_id: np.ndarray)
     base += sizes
     next_id[grp] = base
     keys = _mix_numpy(run_keys[rep] ^ _mix_numpy(local.astype(np.uint64) ^ _CHILD_SALT))
-    return local, keys, int(base.max())
+    return local, keys, uniform_from_u64(_mix_numpy(keys ^ _H_LIFETIME)), int(base.max())
 
 
-def _branch(b: _Batch, alive, keys, rep, death, pos_end=None, local=None):
-    """The children of a wave's dead rows, in row order: their replicates,
-    births (the parent's death), start positions (the parent's end) if
-    `pos_end` is given and parent ids if `local` (the rows' ids) is; else None."""
+def _offspring(b: _Batch, t: _Table, lo: int, hi: int, w: _Table, horizon: float) -> int:
+    """For the rows lo:hi of `t`, whose lifetimes are set: their deaths and
+    children counts into the first rows of `w`, whether each outlives
+    `horizon` into `t`'s `alive`, and the total number of children."""
+    n = hi - lo
     if _kernel.LIB is None:
-        return _branch_numpy(alive, keys, b.levels, rep, death, pos_end, local)
-    addr = _kernel.address
-    alive, keys = np.ascontiguousarray(alive, np.bool_), np.ascontiguousarray(keys, np.uint64)
-    kids = np.empty(alive.size, np.int64)
-    total = _kernel.LIB.offspring(addr(alive), addr(keys), _H_OFFSPRING_INT, b.at[2], b.levels.size,
-                                  addr(kids), kids.size)
-    types = (np.int64, float, float, np.int64)
-    cols = [None if c is None else np.ascontiguousarray(c, t)
-            for c, t in zip((rep, death, pos_end, local), types)]
-    block = np.empty((sum(c is not None for c in cols), total), np.int64)  # one allocation
-    at, k, children, out = addr(block), 0, [], []
-    for c, t in zip(cols, types):  # each given column's children take the next row of the block
-        children.append(None if c is None else block[k].view(t))
-        out.append(None if c is None else at + 8 * total * k)
-        k += c is not None
-    _kernel.LIB.branch(addr(kids), *[None if c is None else addr(c) for c in cols], *out, kids.size)
-    return tuple(children)
+        death, alive, kids = _offspring_numpy(t.col("birth", lo, hi), t.col("lifetime", lo, hi), horizon,
+                                              w.col("keys", 0, n), b.levels)
+        w.col("death", 0, n)[...], t.col("alive", lo, hi)[...], w.col("kids", 0, n)[...] = death, alive, kids
+        return int(kids.sum())
+    return _kernel.LIB.offspring(t.at["birth"] + 8 * lo, t.at["lifetime"] + 8 * lo, horizon, w.at["keys"],
+                                 _H_OFFSPRING_INT, b.at[2], b.levels.size, w.at["death"],
+                                 t.at["alive"] + lo, w.at["kids"], n)
 
 
-def _branch_numpy(alive, keys, cum, rep, death, pos_end=None, local=None):
-    """_branch in numpy: its oracle and its path without the kernel."""
-    src = np.flatnonzero(~alive)
-    kids = _offspring_count(slot_uniform(keys[src], _H_OFFSPRING), cum)
-    has = kids > 0
-    src, kids = src[has], kids[has]
-    copy = lambda col: None if col is None else np.repeat(col[src], kids)
+def _offspring_numpy(birth, lifetime, horizon, keys, cum):
+    """_offspring in numpy, returning (deaths, alive, children counts): its
+    oracle and its path without the kernel."""
+    death = birth + lifetime
+    alive = death > horizon
+    kids = np.zeros(death.size, np.int64)
+    dead = np.flatnonzero(~alive)
+    kids[dead] = _offspring_count(uniform_from_u64(_mix_numpy(keys[dead] ^ _H_OFFSPRING)), cum)
+    return death, alive, kids
+
+
+def _branch(t: _Table, lo: int, hi: int, w: _Table, out: _Table, at: int) -> None:
+    """The children of the rows lo:hi of `t` (counts and deaths in `w`), in
+    row order, into the rows of `out` from `at`: their replicates, births
+    (the parent's death), start positions (the parent's end) if the tables
+    have positions and parent ids if `out` has parents."""
+    n, motion, tree = hi - lo, "pos" in t.columns, "parent" in out.columns
+    if _kernel.LIB is None:
+        children = _branch_numpy(w.col("kids", 0, n), t.col("rep", lo, hi), w.col("death", 0, n),
+                                 t.col("pos", lo, hi) if motion else None,
+                                 w.col("local", 0, n) if tree else None)
+        for name, v in zip(("rep", "birth", "pos", "parent"), children):
+            if v is not None:
+                out.col(name, at, at + v.size)[...] = v
+        return
+    _kernel.LIB.branch(w.at["kids"], t.at["rep"] + 8 * lo, w.at["death"],
+                       t.at["pos"] + 8 * lo if motion else None, w.at["local"] if tree else None,
+                       out.at["rep"] + 8 * at, out.at["birth"] + 8 * at,
+                       out.at["pos"] + 8 * at if motion else None,
+                       out.at["parent"] + 8 * at if tree else None, n)
+
+
+def _branch_numpy(kids, rep, death, pos_end=None, local=None):
+    """_branch in numpy, returning the children's replicates, births, start
+    positions if `pos_end` is given and parents if `local` is (else None):
+    its oracle and its path without the kernel."""
+    copy = lambda col: None if col is None else np.repeat(col, kids)
     return copy(rep), copy(death), copy(pos_end), copy(local)
 
 
@@ -304,68 +371,77 @@ def _batch_simulate(
         raise ConfigError(f"particle cap {particle_cap} must be at least 1")
 
     rep = np.asarray(root_rep, dtype=np.int64)
-    birth = np.asarray(root_birth, dtype=float)
-    pos_start = np.asarray(root_position, dtype=float)
     arena = mode == "arena"
     if arena and not np.array_equal(rep, np.arange(n_rep)):
         raise ValueError("an arena batch takes one root per replicate")
-    parent = np.full(rep.size, -1, dtype=np.int64) if arena else None
     b = _Batch(run_keys, np.zeros(n_rep, dtype=np.int64), cum[cum < 1.0])
-    acc = {k: [] for k in ("rep", "parent", "birth", "lifetime", "alive")}
+    # an arena batch's rows stay in one table, each wave's children after it,
+    # which starts at the batch's expected rows (a critical tree from one root
+    # has 1 + horizon / mean lifetime); a counts or snapshot wave writes its
+    # children to a second table, and the two trade places, so that a wave
+    # allocates nothing while its tables are big enough
+    start = max(int(min(rep.size * (1.0 + horizon / law.mean()), _TREE_START_MAX)), rep.size)
+    t = _Table(start, _TREE) if arena else _Table(rep.size, _FRONT)
+    lo, hi = 0, rep.size
+    t.col("rep", lo, hi)[...] = rep
+    t.col("birth", lo, hi)[...] = root_birth
+    t.col("parent" if arena else "pos", lo, hi)[...] = -1 if arena else root_position
     alive_rep = [np.empty(0, np.int64)]
     snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
 
+    spare, w = _Table(0, _FRONT), _Table(0, _SCRATCH)  # w: the wave's work rows, reused while they suffice
     wave = 0
-    pos_end = None
-    while rep.size:
-        local, keys, top = _wave_keys(b, rep)
-
-        u_life = slot_uniform(keys, _H_LIFETIME)
-        if wave == 0:
-            init_age = -birth
+    while hi > lo:
+        w = w.fit(hi - lo)
+        if _wave_keys(b, t, lo, hi, w) > particle_cap:  # only this wave's replicates have grown
+            bad = np.flatnonzero(b.next_id > particle_cap)
+            raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
+        u_life = w.col("u_life", 0, hi - lo)
+        if wave == 0:  # the roots: condition each on its initial age
+            init_age = -t.col("birth", lo, hi)
             conditioned = init_age > 0
             if np.any(conditioned):
                 g0 = np.asarray(law.cdf(init_age[conditioned]), dtype=float)
                 if np.any(g0 >= 1.0):
                     raise ValueError("initial age beyond lifetime support")
-                u_life = u_life.copy()
                 u_life[conditioned] = g0 + u_life[conditioned] * (1.0 - g0)
-        lifetime = np.asarray(law.ppf(u_life), dtype=float)
-        death = birth + lifetime
-        alive = death > horizon
+        t.col("lifetime", lo, hi)[...] = law.ppf(u_life)
+        total = _offspring(b, t, lo, hi, w, horizon)
 
         # arena motion is drawn after the loop, for kept runs only (_extract_runs);
         # counts draws it unread until the benchmark stops requiring it (ROADMAP item 3)
         if not arena:
-            duration = np.minimum(death, horizon) - np.maximum(birth, 0.0)
-            z = ndtri(slot_uniform(keys, _H_DISPLACEMENT))
-            pos_end = pos_start + np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z
-
-        if top > particle_cap:  # only this wave's replicates have grown since the last check
-            bad = np.flatnonzero(b.next_id > particle_cap)
-            raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
+            rep, birth, alive = (t.col(k, lo, hi) for k in ("rep", "birth", "alive"))
+            duration = np.minimum(w.col("death", 0, hi - lo), horizon) - np.maximum(birth, 0.0)
+            z = ndtri(slot_uniform(w.col("keys", 0, hi - lo), _H_DISPLACEMENT))
+            pos = t.col("pos", lo, hi)
+            pos += np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z  # now the end positions
+            if mode == "snapshot":
+                snap_birth.append(birth[alive])
+                snap_pos.append(pos[alive])
+            alive_rep.append(rep[alive])
 
         if arena:
-            for col, v in zip(acc.values(), (rep, parent, birth, lifetime, alive)):
-                col.append(v)
-        elif mode == "snapshot":
-            snap_birth.append(birth[alive])
-            snap_pos.append(pos_end[alive])
-        alive_rep.append(rep[alive])
-
-        rep, birth, pos_start, parent = _branch(b, alive, keys, rep, death, pos_end,
-                                                local if arena else None)
+            t = t.fit(hi + total, hi)
+            _branch(t, lo, hi, w, t, hi)
+            lo, hi = hi, hi + total
+        else:
+            out = spare.fit(total)
+            _branch(t, lo, hi, w, out, 0)
+            t, spare, lo, hi = out, t, 0, total
         wave += 1
 
-    alive_rep = np.concatenate(alive_rep)
-    counts_alive = np.bincount(alive_rep, minlength=n_rep)
+    if arena:
+        for c in t.cols.values():  # hand back the unused rows; nothing else views the columns
+            c.resize(hi, refcheck=False)
+        cols = t.cols
+        counts_alive = np.bincount(cols["rep"][cols["alive"]], minlength=n_rep)
+        return cols, b.next_id, b.run_keys, np.asarray(root_position, dtype=float), counts_alive
+    counts_alive = np.bincount(np.concatenate(alive_rep), minlength=n_rep)
     if mode == "counts":
         return counts_alive
-    if mode == "snapshot":
-        ages = horizon - np.concatenate(snap_birth)
-        return alive_rep, ages, np.concatenate(snap_pos), counts_alive
-    cols = {k: np.concatenate(v) for k, v in acc.items()}
-    return cols, b.next_id, b.run_keys, np.asarray(root_position, dtype=float), counts_alive
+    ages = horizon - np.concatenate(snap_birth)
+    return np.concatenate(alive_rep), ages, np.concatenate(snap_pos), counts_alive
 
 
 def _single_root_arrays(n_rep: int, model: ValidatedModel):
@@ -394,10 +470,11 @@ def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[Run
     horizon = float(horizon)
     idx, bounds = _gather(cols["rep"], rows, sizes)
     parent, birth, lifetime, alive = (cols[k].take(idx) for k in ("parent", "birth", "lifetime", "alive"))
-    lengths = np.diff(bounds)
-    ids, keys, _ = _wave_keys(_Batch(run_keys[rows], np.zeros(rows.size, np.int64)),
-                              np.repeat(np.arange(rows.size), lengths))
-    z = ndtri(slot_uniform(keys, _H_DISPLACEMENT))
+    t, w = _Table(idx.size, {"rep": _I8}), _Table(idx.size, {"local": _I8, "keys": _U8})
+    t.col("rep")[...] = np.repeat(np.arange(rows.size), np.diff(bounds))
+    _wave_keys(_Batch(run_keys[rows], np.zeros(rows.size, np.int64)), t, 0, idx.size, w)
+    ids = w.col("local")
+    z = ndtri(slot_uniform(w.col("keys"), _H_DISPLACEMENT))
     duration = np.minimum(birth + lifetime, horizon) - np.maximum(birth, 0.0)
     disp = np.sqrt(np.asarray(model.motion.variance(duration), dtype=float)) * z
     alive_at = np.flatnonzero(alive)
@@ -506,6 +583,8 @@ def _settle(model, horizon, rng, start, stop, particle_cap, conditioned, mode):
 def _counts(model, horizon, rng, reps, chunk_size, conditioned):
     if reps < 1:
         raise ConfigError(f"reps {reps} must be positive")
+    if chunk_size < 1:
+        raise ConfigError(f"chunk_size {chunk_size} must be positive")
     n_out = np.empty(reps, dtype=np.int64)
     att_out = np.empty(reps, dtype=np.int64) if conditioned else None
     for start in range(0, reps, chunk_size):

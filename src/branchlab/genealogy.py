@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunRecord
+from .model import ConfigError
 from .rng import RandomStream
 
 
@@ -61,6 +62,8 @@ def sample_survivors(run: RunRecord, k: int, rng: RandomStream) -> np.ndarray:
     """Uniform k-subset of the alive set via a partial Fisher-Yates pass."""
     alive = run.snapshot.ids
     n = alive.size
+    if k < 0:
+        raise ConfigError(f"cannot sample {k} survivors")
     if k > n:
         raise NotEnoughSurvivors(f"asked for {k} of {n} survivors")
     pool = alive.copy()

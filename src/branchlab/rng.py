@@ -9,8 +9,9 @@ is organised.  The hash is the splitmix64 finalizer, applied twice with
 domain-separation salts for key derivation versus value draws.  Single keys
 are hashed on Python ints (`_mix_int`), arrays in the C kernel of `_kernel` or,
 if it could not be built, in numpy (`_mix_numpy`); all are bit-identical.  The
-engine derives its particle keys and offspring draws inside that kernel too,
-with the same hash and the same u64 -> (0, 1) map as `slot_uniform`.
+engine derives its particle keys, lifetime uniforms and offspring draws inside
+that kernel too, with the same hash and the same u64 -> (0, 1) map as
+`slot_uniform`.
 """
 
 from __future__ import annotations

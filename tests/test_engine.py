@@ -77,6 +77,7 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
         raise AssertionError("a wave was simulated")
 
     monkeypatch.setattr(engine, "slot_uniform", no_wave)
+    monkeypatch.setattr(engine, "_wave_keys", no_wave)  # arena waves draw no motion
     one = np.zeros(1, dtype=np.int64)
     drivers = [
         lambda t: run_once(MODEL, t, stream(1)),
@@ -95,10 +96,18 @@ def test_negative_horizon_rejected_before_simulating(monkeypatch):
 
 @pytest.mark.parametrize("reps", [0, -3])
 def test_counts_drivers_reject_reps_below_one(monkeypatch, reps):
-    monkeypatch.setattr(engine, "slot_uniform", lambda *args: pytest.fail("a wave was simulated"))
+    for name in ("slot_uniform", "_wave_keys"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a wave was simulated"))
     for driver in (survival_counts, conditioned_counts):
         with pytest.raises(ConfigError, match="must be positive"):
             driver(MODEL, 5.0, stream(1), reps)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_survival_counts_rejects_chunk_size_below_one(monkeypatch, chunk_size):
+    monkeypatch.setattr(engine, "_wave_keys", lambda *args: pytest.fail("a wave was simulated"))
+    with pytest.raises(ConfigError, match="chunk_size"):
+        survival_counts(MODEL, 5.0, stream(1), 5, chunk_size=chunk_size)
 
 
 def test_arena_draws_normals_for_kept_rows_only(monkeypatch):
@@ -220,7 +229,8 @@ def test_unsorted_roots_rejected(monkeypatch, kernel):
     # unsorted roots once numbered differently on the kernel and numpy paths
     if not kernel:
         monkeypatch.setattr(_kernel, "LIB", None)
-    monkeypatch.setattr(engine, "slot_uniform", lambda *args: pytest.fail("a wave was simulated"))
+    for name in ("slot_uniform", "_wave_keys"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a wave was simulated"))
     keys = np.array([11, 12], dtype=np.uint64)
     with pytest.raises(ConfigError, match="sorted by replicate"):
         simulate_fields(MODEL, 3.0, keys, np.array([1, 0, 1]), np.zeros(3), np.zeros(3))

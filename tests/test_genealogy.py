@@ -13,7 +13,7 @@ from branchlab.genealogy import (
     coalescent_csv_rows,
     sample_survivors,
 )
-from branchlab.model import binary_exponential_model, parse_model_config, validate_model
+from branchlab.model import ConfigError, binary_exponential_model, parse_model_config, validate_model
 from branchlab.rng import stream
 
 MODEL = binary_exponential_model()
@@ -56,6 +56,15 @@ def test_sample_too_many():
     run = run_conditioned(MODEL, 8.0, stream(1))
     with pytest.raises(NotEnoughSurvivors):
         sample_survivors(run, run.snapshot.n_alive + 1, stream(2))
+
+
+def test_sample_negative_k_rejected():
+    run = run_conditioned(MODEL, 8.0, stream(1))
+    assert run.snapshot.n_alive > 1
+    for k in (-1, -run.snapshot.n_alive):
+        with pytest.raises(ConfigError, match="cannot sample"):
+            sample_survivors(run, k, stream(2))
+    assert sample_survivors(run, 0, stream(2)).size == 0
 
 
 def test_sampling_uniformity():

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab import _kernel, engine, rng
-from branchlab.model import OffspringLaw
+from branchlab.engine import CapExceeded, iter_runs, run_once
+from branchlab.model import Brownian, Exponential, ModelSpec, OffspringLaw, UniformLifetime, validate_model
+from branchlab.rng import stream
+
+MODEL = validate_model(ModelSpec(Exponential(1.0), OffspringLaw((0.5, 0.0, 0.5)), Brownian(1.0)))
 
 pytestmark = pytest.mark.skipif(_kernel.LIB is None, reason="the C kernel could not be built")
 
@@ -97,31 +101,62 @@ def _replicates(groups):
 GROUPS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=12)
 
 
-@given(GROUPS, st.integers(0, 5), st.integers(0, 50), st.randoms(use_true_random=False))
+def _table(size, columns, lo=0, **cols):
+    """A table of `size` rows, its bytes set to a fill pattern, holding
+    `cols` (strided or not: they are copied in, as the engine copies its
+    roots) from row lo."""
+    t = engine._Table(size, columns)
+    for c in t.cols.values():
+        c.view(np.uint8)[...] = 0xA5
+    for name, v in cols.items():
+        t.col(name, lo, lo + len(v))[...] = v
+    return t
+
+
+def _bytes(t):
+    return {name: c.tobytes() for name, c in t.cols.items()}
+
+
+@given(GROUPS, st.integers(0, 5), st.integers(0, 50), st.randoms(use_true_random=False),
+       st.integers(0, 3), st.integers(0, 3), st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_wave_keys_matches_numpy(groups, spare, start_max, random):
+def test_wave_keys_matches_numpy(groups, spare, start_max, random, lo, extra, life, strided):
     rep = _replicates(groups)
-    m = int(rep[-1]) + 1 + spare
+    if strided:
+        rep = np.repeat(rep, 2)[::2]
+    n, m = rep.size, int(rep[-1]) + 1 + spare
     start = np.array([random.randint(0, start_max) for _ in range(m)], dtype=np.int64)
     run_keys = np.array([random.getrandbits(64) for _ in range(m)], dtype=np.uint64)
-    before = np.concatenate([rep.view(np.uint64), run_keys])
+    t = _table(lo + n, {"rep": engine._I8}, lo, rep=rep)
+    w = _table(n + extra, engine._SCRATCH if life else {"local": engine._I8, "keys": engine._U8})
+    t_before, w_before = _bytes(t), _bytes(w)
     got_next, want_next = start.copy(), start.copy()
-    *got, got_top = engine._wave_keys(engine._Batch(run_keys, got_next), rep)
+    got_top = engine._wave_keys(engine._Batch(run_keys, got_next), t, lo, lo + n, w)
     *want, want_top = engine._wave_keys_numpy(rep, run_keys, want_next)
-    for g, w in zip(got, want):
-        _check(g, w, np.concatenate([rep.view(np.uint64), run_keys]), before)
+    for name, v in zip(("local", "keys", "u_life")[: 2 + life], want):
+        assert w.col(name, 0, n).tobytes() == v.tobytes()
+        assert w.col(name, n).tobytes() == w_before[name][8 * n:]  # rows past the wave are not written
     assert got_top == want_top and type(got_top) is int
     assert np.array_equal(got_next, want_next)
-    # the keys are derive_key(run key, id), as the drivers document
-    assert np.array_equal(got[1], rng.derive_key(run_keys[rep], got[0]))
+    assert _bytes(t) == t_before  # the table is never written
+    # the keys are derive_key(run key, id) and the uniforms their lifetime slot, as the drivers document
+    local, keys = want[:2]
+    assert np.array_equal(keys, rng.derive_key(run_keys[rep], local))
+    assert np.array_equal(want[2], rng.slot_uniform(keys, rng.slot_hash(0)))
 
 
 @pytest.mark.parametrize("rep", [[0, 1, 3], [-1, 0]])
 def test_wave_keys_rejects_a_replicate_out_of_range(rep):
-    kernel = lambda rep, keys, next_id: engine._wave_keys(engine._Batch(keys, next_id), rep)
-    for wave_keys in (kernel, engine._wave_keys_numpy):
-        with pytest.raises(IndexError):
-            wave_keys(np.array(rep, dtype=np.int64), np.zeros(3, np.uint64), np.zeros(3, np.int64))
+    rep = np.array(rep, dtype=np.int64)
+    for lib in (_kernel.LIB, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "LIB", lib)
+            t = _table(rep.size, {"rep": engine._I8}, rep=rep)
+            w = _table(rep.size, engine._SCRATCH)
+            with pytest.raises(IndexError):
+                engine._wave_keys(engine._Batch(np.zeros(3, np.uint64), np.zeros(3, np.int64)), t, 0, rep.size, w)
+    with pytest.raises(IndexError):
+        engine._wave_keys_numpy(rep, np.zeros(3, np.uint64), np.zeros(3, np.int64))
 
 
 # a first level that the offspring uniform of the key TIE equals exactly
@@ -136,41 +171,168 @@ LAWS = st.sampled_from([
     (0.5,) + (0.0,) * 299 + (0.5,),  # 300 children, past any 8-bit count
     (1 / 301,) * 301,
 ])
-# per row: alive, key, and the bits of its death and end position (NaNs,
-# infinities and subnormals included: the kernel copies them)
-ROW = st.tuples(st.booleans(), st.one_of(U64, HIGH, st.just(TIE)), U64, U64)
+# per row: key, and the bits of its birth and lifetime (NaNs, infinities and
+# subnormals included: the kernel adds and compares them as numpy does)
+ROW = st.tuples(st.one_of(U64, HIGH, st.just(TIE)), U64, U64)
+HORIZONS = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0]))
 
 
-@given(GROUPS, st.data(), LAWS, st.booleans(), st.booleans(), st.booleans(), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_branch_matches_numpy(groups, data, law, all_alive, arena, motion, strided):
-    rep = _replicates(groups)
-    rows = data.draw(st.lists(ROW, min_size=rep.size, max_size=rep.size))
-    alive, keys, death, pos_end = (np.array(col, dtype=np.uint64) for col in zip(*rows))
-    alive = (alive == 1) | all_alive  # all alive: a wave with no children
-    death, pos_end = death.view(np.float64), pos_end.view(np.float64)
-    ids = [np.arange(rep.size, dtype=np.int64) * 7 + 3] if arena else []
-    inputs = [alive, keys, rep, death, pos_end, *ids]
+@given(st.lists(ROW, min_size=1, max_size=40), LAWS, HORIZONS, st.booleans(), st.booleans(),
+       st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_offspring_matches_numpy(rows, law, horizon, all_alive, strided, lo, extra):
+    keys, birth, lifetime = (np.array(col, dtype=np.uint64) for col in zip(*rows))
+    birth, lifetime = birth.view(np.float64), lifetime.view(np.float64)
+    if all_alive:  # a wave with no children: every row outlives the horizon
+        birth, lifetime, horizon = np.abs(np.nan_to_num(birth)), np.abs(np.nan_to_num(lifetime)), -1.0
     if strided:
-        inputs = [np.repeat(a, 2)[::2] for a in inputs]
-    before = [a.copy() for a in inputs]
-    cum = OffspringLaw(law).cumulative()
-    alive, keys, rep, death, pos_end, *local = inputs
-    pos_end = pos_end if motion else None  # an arena wave draws no motion
-    local = local[0] if arena else None
-    batch = engine._Batch(np.zeros(1, np.uint64), np.zeros(1, np.int64), cum[cum < 1.0])
-    got = engine._branch(batch, alive, keys, rep, death, pos_end, local)
+        keys, birth, lifetime = (np.repeat(a, 2)[::2] for a in (keys, birth, lifetime))
+    n, cum = keys.size, OffspringLaw(law).cumulative()
+    t = _table(lo + n, engine._TREE, lo, birth=birth, lifetime=lifetime)
+    w = _table(n + extra, engine._SCRATCH)
+    w.col("keys", 0, n)[...] = keys
+    before = [a.copy() for a in (keys, birth, lifetime)]
+    t_before, w_before = _bytes(t), _bytes(w)
+    total = engine._offspring(engine._Batch(np.zeros(1, np.uint64), np.zeros(1, np.int64), cum[cum < 1.0]),
+                              t, lo, lo + n, w, horizon)
+    death, alive, kids = engine._offspring_numpy(birth, lifetime, horizon, keys, cum)
+    assert type(total) is int and total == kids.sum()
+    assert not all_alive or (alive.all() and total == 0)
+    assert w.col("death", 0, n).tobytes() == death.tobytes()  # NaN payloads and signed zeros included
+    assert w.col("kids", 0, n).tobytes() == kids.tobytes()
+    assert t.col("alive", lo, lo + n).tobytes() == alive.tobytes()
+    # nothing else is written: the other columns, the rows around the wave, the inputs
+    a = t_before["alive"]
+    t_before["alive"] = a[:lo] + alive.tobytes() + a[lo + n:]
+    assert _bytes(t) == t_before
+    for name in ("death", "kids"):
+        w_before[name] = w.col(name, 0, n).tobytes() + w_before[name][8 * n:]
+    assert _bytes(w) == w_before
+    for a, b in zip((keys, birth, lifetime), before):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(GROUPS, st.data(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_branch_matches_numpy(groups, data, arena, motion, in_place, lo, gap):
+    rep = _replicates(groups)
+    n = rep.size
+    kids = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 300]), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    bits = [np.array(data.draw(st.lists(U64, min_size=n, max_size=n)), dtype=np.uint64) for _ in range(2)]
+    death, pos_end = (b.view(np.float64) for b in bits)  # the kernel copies any bits
+    local = np.arange(n, dtype=np.int64) * 7 + 3
+    columns = {"rep": engine._I8, "birth": engine._F8, "lifetime": engine._F8, "alive": engine._B1}
+    columns.update({"parent": engine._I8} if arena else {}, **({"pos": engine._F8} if motion else {}))
+    total = int(kids.sum())
+    t = _table(lo + n + gap + total, columns, lo, rep=rep, **({"pos": pos_end} if motion else {}))
+    # children go after the wave in its own table (arena) or to a table of their own
+    out, at = (t, lo + n + gap) if in_place else (_table(gap + total, columns), gap)
+    w = _table(n, engine._SCRATCH, kids=kids, death=death, local=local)
+    w_before = _bytes(w)
+    engine._branch(t, lo, lo + n, w, out, at)
+    want = engine._branch_numpy(kids, rep, death, pos_end if motion else None, local if arena else None)
+    assert (want[2] is None) == (not motion) and (want[3] is None) == (not arena)
+    for name, v in zip(("rep", "birth", "pos", "parent"), want):
+        if v is not None:
+            assert out.col(name, at, at + total).tobytes() == v.tobytes()
+    assert _bytes(w) == w_before
+    assert t.col("rep", lo, lo + n).tobytes() == rep.tobytes()
+    if motion:
+        assert t.col("pos", lo, lo + n).tobytes() == pos_end.tobytes()
+
+
+AGED = validate_model(ModelSpec(UniformLifetime(0.5, 2.0), OffspringLaw((0.25, 0.5, 0.25)), Brownian(0.5),
+                                initial_age=1.0))
+TERNARY = validate_model(ModelSpec(Exponential(1.0), OffspringLaw((0.4, 0.4, 0.0, 0.2)), Brownian(1.0)))
+
+
+def _outputs(out):
+    """The byte strings of a batch's outputs, whatever the mode."""
+    if isinstance(out, np.ndarray):
+        return [out.tobytes()]
+    flat = []
+    for item in out:
+        flat += [v.tobytes() for v in item.values()] if isinstance(item, dict) else [np.asarray(item).tobytes()]
+    return flat
+
+
+@given(GROUPS, st.sampled_from(["arena", "counts", "snapshot"]), st.sampled_from([AGED, TERNARY]),
+       st.floats(0.0, 6.0), st.data(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_fused_wave_matches_numpy_path(groups, mode, model, horizon, data, strided):
+    # whole batches through both paths: conditioned wave-0 uniforms (roots of
+    # any age below the lifetime's support), all-alive waves (horizon 0 and
+    # old roots) and strided roots
+    rep = np.arange(len(groups), dtype=np.int64) if mode == "arena" else _replicates(groups)
+    ages = st.floats(0.0, 1.9)
+    birth = -np.array(data.draw(st.lists(ages, min_size=rep.size, max_size=rep.size)))
+    pos = np.arange(rep.size, dtype=float) / 3
+    keys = np.arange(1, int(rep[-1]) + 2, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    if strided:
+        rep, birth, pos = (np.repeat(a, 2)[::2] for a in (rep, birth, pos))
+    run = lambda: engine._batch_simulate(model, horizon, keys, rep, birth, pos, 10**6, mode)
+    got = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "LIB", None)  # the oracle draws its uniforms in numpy too
-        want = engine._branch_numpy(alive, keys, cum, rep, death, pos_end, local)
-    assert (got[2] is None) == (want[2] is None) == (not motion)
-    assert (got[3] is None) == (want[3] is None) == (not arena)
-    for g, w in zip(got, want):
-        if w is not None:
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()  # NaN payloads and signed zeros included
-    for a, b in zip(inputs, before):
-        assert a.tobytes() == b.tobytes()  # inputs are never written
+        mp.setattr(_kernel, "LIB", None)
+        want = run()
+    assert _outputs(got) == _outputs(want)
+
+
+def _arena_args(reps, seed):
+    keys = np.array([stream(seed).child(r).key for r in range(reps)], dtype=np.uint64)
+    return (keys, *engine._single_root_arrays(reps, MODEL))
+
+
+def _track_growth(monkeypatch):
+    """A list of the sizes each arena table grows to, cleared by each batch."""
+    grown, fit, simulate = [], engine._Table.fit, engine._batch_simulate
+
+    def tracked_fit(self, need, used=0):
+        out = fit(self, need, used)
+        if out is not self and "parent" in self.columns:
+            grown.append(out.size)
+        return out
+
+    def tracked_simulate(*args, **kwargs):
+        grown.clear()
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine._Table, "fit", tracked_fit)
+    monkeypatch.setattr(engine, "_batch_simulate", tracked_simulate)
+    return grown
+
+
+def test_arena_table_grows_through_doublings(monkeypatch):
+    batch = lambda: engine._batch_simulate(MODEL, 8.0, *_arena_args(24, 31), 10**6, "arena")
+    start = batch()  # starts at the expected rows
+    grown = _track_growth(monkeypatch)
+    monkeypatch.setattr(engine, "_TREE_START_MAX", 1)  # starts at one row per root
+    doubled = batch()
+    assert len(grown) >= 3 and grown[0] >= 2 * 24 and all(b >= 2 * a for a, b in zip(grown, grown[1:]))
+    monkeypatch.setattr(_kernel, "LIB", None)
+    numpy_path = batch()
+    assert len(grown) >= 3
+    assert _outputs(doubled) == _outputs(start) == _outputs(numpy_path)
+    assert doubled[0]["rep"].size == doubled[1].sum()
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_cap_exceeded_past_a_growth_names_the_replicate(monkeypatch, kernel):
+    t, reps, block, rng = 6.0, 12, 4, stream(21)
+    sizes = [len(run_once(MODEL, t, rng.child(r).child(0)).arena) for r in range(reps)]
+    worst = int(np.argmax(sizes))
+    cap = max(s for r, s in enumerate(sizes) if r != worst)
+    assert worst >= block and sizes[worst] > cap  # the one offender sits in a later block
+    if not kernel:
+        monkeypatch.setattr(_kernel, "LIB", None)
+    monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+    monkeypatch.setattr(engine, "_TREE_START_MAX", 1)
+    grown = _track_growth(monkeypatch)
+    with pytest.raises(CapExceeded) as exc:
+        list(iter_runs(MODEL, t, rng, reps, particle_cap=cap))
+    assert exc.value.replicates == [worst]
+    assert len(grown) >= 2  # the batch that raised had grown its table more than once
 
 
 def _runs(sizes, data):
