@@ -18,8 +18,7 @@ and motion variances stay in numpy, and the C only hashes, adds, compares
 and copies.  A wave's rows and its children live in `_Table`s of named
 columns: an arena batch keeps all its rows in one table, each wave's
 children written straight after it, which doubles when they do not fit; a
-counts or snapshot wave writes its children into a second table, and the
-two trade places.
+counts or snapshot wave writes its children into a table made for them.
 
 Only the tree (lifetimes and offspring) decides whether an attempt survives,
 and a row's displacement is a pure function of its key and life span.  So an
@@ -125,16 +124,6 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _offspring_count(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cum, u, side="right") for uniforms u < 1: the number
-    of cumulative levels at or below u.  Levels of 1.0 or more never count,
-    so only those below 1 are compared, one pass each."""
-    n = np.zeros(u.size, dtype=np.int64)
-    for level in cum[cum < 1.0]:
-        n += u >= level
-    return n
-
-
 class _Batch:
     """A batch's constant wave arguments, resolved once: the run keys, the
     per-replicate id counters `next_id` (advanced in place by every wave) and
@@ -237,12 +226,16 @@ def _offspring(b: _Batch, t: _Table, lo: int, hi: int, w: _Table, horizon: float
 
 def _offspring_numpy(birth, lifetime, horizon, keys, cum):
     """_offspring in numpy, returning (deaths, alive, children counts): its
-    oracle and its path without the kernel."""
+    oracle and its path without the kernel.  A child count is the number of
+    cumulative levels at or below the uniform; levels of 1.0 or more never
+    count, and leaving them out keeps the levels sorted where a cumulative
+    sum rounds above 1 before its last entry."""
     death = birth + lifetime
     alive = death > horizon
     kids = np.zeros(death.size, np.int64)
     dead = np.flatnonzero(~alive)
-    kids[dead] = _offspring_count(uniform_from_u64(_mix_numpy(keys[dead] ^ _H_OFFSPRING)), cum)
+    u = uniform_from_u64(_mix_numpy(keys[dead] ^ _H_OFFSPRING))
+    kids[dead] = np.searchsorted(cum[cum < 1.0], u, side="right")
     return death, alive, kids
 
 
@@ -273,6 +266,15 @@ def _branch_numpy(kids, rep, death, pos_end=None, local=None):
     its oracle and its path without the kernel."""
     copy = lambda col: None if col is None else np.repeat(col, kids)
     return copy(rep), copy(death), copy(pos_end), copy(local)
+
+
+def _displacement(motion, keys, birth, death, horizon) -> np.ndarray:
+    """Each row's normal from its key's displacement slot, scaled by the motion
+    over its life clipped to [0, horizon]; the scale comes first, as holding the
+    span while drawing the normals raised deep-trees' peak RSS by about 6 MB."""
+    sd = np.sqrt(np.asarray(motion.variance(np.minimum(death, horizon) - np.maximum(birth, 0.0)), dtype=float))
+    sd *= ndtri(slot_uniform(keys, _H_DISPLACEMENT))
+    return sd
 
 
 def _gather(rep: np.ndarray, rows: np.ndarray, sizes: np.ndarray):
@@ -347,7 +349,6 @@ def _batch_simulate(
     root_position: np.ndarray,
     particle_cap: int,
     mode: str,
-    rep_labels: Optional[np.ndarray] = None,
 ):
     """Simulate every replicate in the batch to `horizon`.
 
@@ -362,7 +363,6 @@ def _batch_simulate(
     """
     n_rep = run_keys.size
     law = model.lifetime
-    motion = model.motion
     cum = model.offspring.cumulative()
     horizon = float(horizon)
     if not 0 <= horizon < math.inf:
@@ -378,8 +378,7 @@ def _batch_simulate(
     # an arena batch's rows stay in one table, each wave's children after it,
     # which starts at the batch's expected rows (a critical tree from one root
     # has 1 + horizon / mean lifetime); a counts or snapshot wave writes its
-    # children to a second table, and the two trade places, so that a wave
-    # allocates nothing while its tables are big enough
+    # children to a table made for them
     start = max(int(min(rep.size * (1.0 + horizon / law.mean()), _TREE_START_MAX)), rep.size)
     t = _Table(start, _TREE) if arena else _Table(rep.size, _FRONT)
     lo, hi = 0, rep.size
@@ -389,13 +388,12 @@ def _batch_simulate(
     alive_rep = [np.empty(0, np.int64)]
     snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
 
-    spare, w = _Table(0, _FRONT), _Table(0, _SCRATCH)  # w: the wave's work rows, reused while they suffice
+    w = _Table(0, _SCRATCH)  # the wave's work rows, reused while they suffice
     wave = 0
     while hi > lo:
         w = w.fit(hi - lo)
         if _wave_keys(b, t, lo, hi, w) > particle_cap:  # only this wave's replicates have grown
-            bad = np.flatnonzero(b.next_id > particle_cap)
-            raise CapExceeded(np.unique(rep_labels[bad]) if rep_labels is not None else bad)
+            raise CapExceeded(np.flatnonzero(b.next_id > particle_cap))
         u_life = w.col("u_life", 0, hi - lo)
         if wave == 0:  # the roots: condition each on its initial age
             init_age = -t.col("birth", lo, hi)
@@ -408,27 +406,21 @@ def _batch_simulate(
         t.col("lifetime", lo, hi)[...] = law.ppf(u_life)
         total = _offspring(b, t, lo, hi, w, horizon)
 
-        # arena motion is drawn after the loop, for kept runs only (_extract_runs);
-        # counts draws it unread until the benchmark stops requiring it (ROADMAP item 3)
-        if not arena:
-            rep, birth, alive = (t.col(k, lo, hi) for k in ("rep", "birth", "alive"))
-            duration = np.minimum(w.col("death", 0, hi - lo), horizon) - np.maximum(birth, 0.0)
-            z = ndtri(slot_uniform(w.col("keys", 0, hi - lo), _H_DISPLACEMENT))
-            pos = t.col("pos", lo, hi)
-            pos += np.sqrt(np.asarray(motion.variance(duration), dtype=float)) * z  # now the end positions
+        if arena:  # motion is drawn after the loop, for kept runs only (_extract_runs)
+            t = t.fit(hi + total, hi)
+            _branch(t, lo, hi, w, t, hi)
+            lo, hi = hi, hi + total
+        else:  # counts draws motion unread until the benchmark stops requiring it (ROADMAP item 3)
+            rep, birth, alive, pos = (t.col(k, lo, hi) for k in ("rep", "birth", "alive", "pos"))
+            n = hi - lo
+            pos += _displacement(model.motion, w.col("keys", 0, n), birth, w.col("death", 0, n), horizon)
             if mode == "snapshot":
                 snap_birth.append(birth[alive])
                 snap_pos.append(pos[alive])
             alive_rep.append(rep[alive])
-
-        if arena:
-            t = t.fit(hi + total, hi)
-            _branch(t, lo, hi, w, t, hi)
-            lo, hi = hi, hi + total
-        else:
-            out = spare.fit(total)
+            out = _Table(total, _FRONT)
             _branch(t, lo, hi, w, out, 0)
-            t, spare, lo, hi = out, t, 0, total
+            t, lo, hi = out, 0, total
         wave += 1
 
     if arena:
@@ -474,9 +466,7 @@ def _extract_runs(model, horizon, batch, rows, attempts, seed_paths) -> list[Run
     t.col("rep")[...] = np.repeat(np.arange(rows.size), np.diff(bounds))
     _wave_keys(_Batch(run_keys[rows], np.zeros(rows.size, np.int64)), t, 0, idx.size, w)
     ids = w.col("local")
-    z = ndtri(slot_uniform(w.col("keys"), _H_DISPLACEMENT))
-    duration = np.minimum(birth + lifetime, horizon) - np.maximum(birth, 0.0)
-    disp = np.sqrt(np.asarray(model.motion.variance(duration), dtype=float)) * z
+    disp = _displacement(model.motion, w.col("keys"), birth, birth + lifetime, horizon)
     alive_at = np.flatnonzero(alive)
     positions = _ancestry_sum(parent, disp, bounds, root[rows])[alive_at]
     alive_bounds = np.searchsorted(alive_at, bounds)
@@ -566,10 +556,10 @@ def _settle(model, horizon, rng, start, stop, particle_cap, conditioned, mode):
         width = min(_ATTEMPT_BLOCK, DEFAULT_MAX_ATTEMPTS - base) if conditioned else 1
         keys = _attempt_keys(rep_keys[pending - start], base, width)
         rep, birth, pos = _single_root_arrays(pending.size * width, model)
-        out = _batch_simulate(
-            model, horizon, keys, rep, birth, pos, particle_cap, mode,
-            rep_labels=np.repeat(pending, width),
-        )
+        try:
+            out = _batch_simulate(model, horizon, keys, rep, birth, pos, particle_cap, mode)
+        except CapExceeded as exc:  # name replicates, not batch rows
+            raise CapExceeded(np.unique(pending[np.asarray(exc.replicates) // width])) from None
         counts = (out if mode == "counts" else out[-1]).reshape(pending.size, width)
         hit = counts > 0 if conditioned else np.ones_like(counts, dtype=bool)
         any_hit = hit.any(axis=1)

@@ -179,15 +179,15 @@ _TEST_FUNCTIONS = {
 
 
 def parse_test_function(name: str) -> Callable:
-    """const:<c> (c >= 0), gauss = exp(-x^2), age-exp = exp(-a) or
+    """const:<c> (finite c >= 0), gauss = exp(-x^2), age-exp = exp(-a) or
     indicator = 1{x <= 0}, as f(age, position)."""
     if name.startswith("const:"):
         try:
             c = float(name.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad constant in test function {name!r}") from None
-        if c < 0:
-            raise ConfigError("const test function must be nonnegative")
+        if not 0 <= c < math.inf:
+            raise ConfigError(f"const test function {c!r} must be finite and nonnegative")
         return lambda a, x: c * _ones(a, x)
     if name not in _TEST_FUNCTIONS:
         raise ConfigError(f"unknown test function {name!r}; use const:<c>, {', '.join(_TEST_FUNCTIONS)}")

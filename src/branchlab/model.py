@@ -312,6 +312,8 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         raise ModelError("initial age must be nonnegative")
     if float(spec.lifetime.cdf(spec.initial_age)) >= 1.0:
         raise ModelError("initial age lies beyond the lifetime support")
+    if not math.isfinite(spec.initial_position):
+        raise ModelError(f"initial position {spec.initial_position!r} must be finite")
 
     return ValidatedModel(
         lifetime=spec.lifetime,

@@ -11,6 +11,7 @@ reference model (exp(1) lifetimes, offspring (1/2, 0, 1/2)) at the row's
 own 0.001 level, on the very samples the row used (`exact_laws`).  A simulator with the wrong law fails them.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -178,3 +179,31 @@ def test_expected_red_set_is_exactly_the_failures(results):
         if not row.passed
     }
     assert observed == EXPECTED_RED
+
+
+# sha256 of each criterion's seed-1 report rows, as `verify --report` writes
+# them; a change that moves any value, verdict or note of a row moves these
+REPORT_DIGESTS = {
+    "survival-decay": "32e31739bdfd747f30341d96c836379beef6162d53c93601c2504f9c390a36a0",
+    "population-law": "a84478deb8a607f14a715e23fc309dc4b4d635c4faac3b8dac1ab0a2fb5628c0",
+    "generation-count": "f2681ae61fa65c376408d101e2dc0a0853f2792bdc26bf8691ce8f87403e9ee0",
+    "age-law": "c5b81678039a1e9404af659c9c05dd9cc822b7474b8535032ebd0decc5252db7",
+    "single-particle-limit": "7e28fcb51482c697bc948de68d094dc4c74d1f780e2a383a6c16b5a40305d17f",
+    "ancestral-lln": "b52617c553e3d05266a0cde1409aa22770cec709c6fe4ce47e3fbea7e63f784b",
+    "ancestral-clt": "0aa6b7af4a6483b716a120e30c7786f2710cd9b3de287ee2a6b4d7c3c09d0ded",
+    "coalescent-stability": "5497ae33704b67387a40624e305191a5a05bbdf2b1af22075faf816776deb72c",
+    "moment-structure": "266384e78b459afe8524e1d179d1fad180acd98e9fffb1daf4c81fd951cff00b",
+    "total-mass-law": "9752ff26832d4823c8077c5ef51877a524c8c3bca68d4c704ecaf46fc3fc2a47",
+    "solver-agreement": "1f9f17170847f4ab521c7c1d0f3de7bc01a7f4a52edd285fbe33d6517602a8a9",
+    "solver-suite": "a9910d188af193e164f13820a7938118b4deff70e89d8f08f559d739af9300fb",
+    "determinism": "6a8323ac51893eadab031b6bc5eecd78692054da4e7408311186c73f16205d44",
+}
+
+
+def test_reports_pinned(harness, results):
+    model = harness.model.digest()
+    got = {
+        name: hashlib.sha256("\n".join(row.to_json(res.key, SEED, model) for row in res.rows).encode()).hexdigest()
+        for name, res in results.items()
+    }
+    assert got == REPORT_DIGESTS

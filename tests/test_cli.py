@@ -60,6 +60,15 @@ def test_bad_model_config_exits_2(tmp_path):
     assert dispatch(["simulate", "--t", "5", "--seed", "1", "--model", str(cfg)]) == 2
 
 
+def test_non_finite_initial_position_exits_2(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("lifetime = exp:1.0\noffspring = 0.5,0,0.5\nmotion = bm:1.0\ninitial_position = nan\n")
+    out = tmp_path / "runs.jsonl"
+    assert dispatch(["simulate", "--t", "1", "--seed", "1", "--conditioned", "--model", str(cfg),
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_model_config_accepted(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("lifetime = exp:2.0\noffspring = 0.5,0,0.5\nmotion = bm:1.0\n")
@@ -174,6 +183,8 @@ def test_superprocess_bad_f_exits_2():
     "superprocess --n 10 --t 1 --lambda 0 --seed 1",
     "superprocess --n 10 --t 1 --f const:abc --seed 1",
     "superprocess --n 10 --t inf --seed 1",
+    "superprocess --n 10 --t 0.5 --reps 5 --f const:nan --seed 1",
+    "superprocess --n 10 --t 0.5 --reps 5 --f const:inf --seed 1",
     "loglaplace --t 1 --dt 0.3",
     "loglaplace --t 1 --nx 8",
     "loglaplace --t 1 --nx 16",
@@ -187,6 +198,7 @@ def test_superprocess_bad_f_exits_2():
     "loglaplace --t 1 --lambda inf",
     "loglaplace --t 1 --psi nan",
     "loglaplace --t 1 --psi inf",
+    "loglaplace --f const:nan --t 0.5",
     "simulate --t 1 --seed 1 --model /nonexistent",
     "simulate --t -1 --seed 1",
     "simulate --t nan --seed 1",

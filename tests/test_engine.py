@@ -243,14 +243,18 @@ def test_unsorted_roots_rejected(monkeypatch, kernel):
     (0.25, 0.75, 0.0, 0.0),  # reaches 1.0 before its last entry
     (0.1, 0.2, 0.3, 0.4),
 ])
-def test_offspring_count_equals_searchsorted(probabilities):
+def test_offspring_count_equals_searchsorted(monkeypatch, probabilities):
+    # the numpy twin's children counts, fed chosen offspring uniforms
     cum = OffspringLaw(probabilities).cumulative()
     levels = cum[cum < 1.0]
     on_and_around = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
     extremes = [0.5 * 2.0**-53, (2.0**53 - 0.5) * 2.0**-53]  # slot_uniform's range
     u = np.concatenate([on_and_around, extremes, np.random.default_rng(0).random(10_000)])
     u = u[(u > 0) & (u < 1)]
-    assert np.array_equal(engine._offspring_count(u, cum), np.searchsorted(cum, u, side="right"))
+    monkeypatch.setattr(engine, "uniform_from_u64", lambda bits: u)
+    n = u.size  # every row dies before the horizon
+    _, _, kids = engine._offspring_numpy(np.zeros(n), np.ones(n), 2.0, np.zeros(n, np.uint64), cum)
+    assert np.array_equal(kids, np.searchsorted(cum, u, side="right"))
 
 
 def test_unconditioned_mean_survivor_position_zero():

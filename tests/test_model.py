@@ -94,6 +94,12 @@ def test_initial_age_beyond_support_rejected():
         validate_model(spec(lifetime=Deterministic(1.0), initial_age=2.0))
 
 
+@pytest.mark.parametrize("position", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_position_rejected(position):
+    with pytest.raises(ModelError, match="initial position"):
+        validate_model(spec(initial_position=position))
+
+
 # --- derived constants ------------------------------------------------------
 
 
