@@ -65,6 +65,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.report and not Path(args.report).parent.is_dir():
+        print(f"error: --report {args.report}: no such directory", file=sys.stderr)
+        return USAGE_ERROR  # before any criterion runs, not after all of them
     names = None if "all" in args.checks else args.checks
     h = Harness(args.seed)
     results = run_criteria(h, names)

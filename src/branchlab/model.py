@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 CRITICALITY_TOL = 1e-9
 MASS_TOL = 1e-12
@@ -358,12 +356,12 @@ def limit_age_cdf(model: ValidatedModel, x):
         width = hi - lo
         out = (below + mid - 0.5 * mid**2 / width) / mu
         out = np.minimum(out, 1.0)
+    elif isinstance(law, Gamma):
+        # (1/mu) int_0^x Q(k, r s) ds, grouped so that it is monotone in x to rounding
+        y = law.rate * x
+        out = np.minimum(gammainc(law.shape + 1, y) + (y / law.shape) * gammaincc(law.shape, y), 1.0)
     else:
-        flat = np.atleast_1d(x)
-        vals = np.empty_like(flat)
-        for i, xi in enumerate(flat):
-            vals[i] = quad(lambda s: 1.0 - float(law.cdf(s)), 0.0, min(float(xi), law.support_hi()), limit=200)[0] / mu
-        out = vals.reshape(x.shape)
+        raise ModelError(f"no closed-form age law for {type(law).__name__}")
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -372,6 +370,7 @@ def limit_age_ppf(model: ValidatedModel, u):
     law = model.lifetime
     if isinstance(law, Exponential):
         return -np.log1p(-np.asarray(u, dtype=float)) / law.rate
+    from scipy.optimize import brentq  # only non-exponential laws invert numerically
     hi = law.support_hi()
     flat = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.empty_like(flat)

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv, ndtri
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import kstwobign
+from scipy.special import chdtri, gamma as gamma_fn, kolmogi, kv, ndtri
 
 from .engine import RunRecord, survival_counts
 from .genealogy import coalescence_times, sample_survivors
@@ -148,14 +144,11 @@ def ks_distance(sample, cdf: Callable) -> TestReport:
     n = x.size
     if n == 0:
         raise EmptySample("KS needs a nonempty sample")
-    try:
-        F = np.asarray(cdf(x), dtype=float)
-    except (TypeError, ValueError):
-        F = np.array([float(cdf(v)) for v in x])
+    F = np.asarray(cdf(x), dtype=float)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     d = max(float(np.max(hi - F)), float(np.max(F - lo)))
-    threshold = float(kstwobign.isf(LEVEL)) / math.sqrt(n)
+    threshold = float(kolmogi(LEVEL)) / math.sqrt(n)
     return _report(d, threshold, n, f"KS vs target cdf at level {LEVEL}")
 
 
@@ -189,7 +182,7 @@ def chi_square_gof(counts, pmf: Callable) -> TestReport:
     keep = exp_cells > 0
     stat = float(np.sum((obs_cells[keep] - exp_cells[keep]) ** 2 / exp_cells[keep]))
     df = int(keep.sum()) - 1
-    threshold = float(chi2_dist.isf(LEVEL, df))
+    threshold = float(chdtri(df, LEVEL))
     return _report(stat, threshold, n, f"chi2 GOF, {df} df, level {LEVEL}")
 
 
@@ -212,6 +205,7 @@ def cvm_limit_cdf(x: float) -> float:
 
 def cvm_critical_value() -> float:
     """Upper LEVEL quantile of the asymptotic Cramer-von Mises law."""
+    from scipy.optimize import brentq  # only the CvM rows need a root finder
     return float(brentq(lambda x: cvm_limit_cdf(x) - (1.0 - LEVEL), 0.02, 10.0, xtol=1e-10))
 
 
@@ -281,7 +275,7 @@ def independence_statistic(pairs) -> TestReport:
     expected = row * col / n
     stat = float(np.sum((table - expected) ** 2 / expected))
     df = (bins - 1) ** 2
-    threshold = float(chi2_dist.isf(LEVEL, df))
+    threshold = float(chdtri(df, LEVEL))
     return _report(stat, threshold, n, f"chi2 independence, {df} df, level {LEVEL}")
 
 

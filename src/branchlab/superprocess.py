@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import poisson as poisson_dist
+from scipy.special import ndtri, pdtr, pdtrik
 
 from .engine import CapExceeded, simulate_fields
 from .model import (
@@ -114,6 +113,12 @@ class ScalingFamily:
         return self.model().psi * self.n
 
 
+def _poisson_ppf(u: float, mean: float) -> int:
+    """Poisson(mean) quantile at u, step for step as scipy.stats.poisson.ppf."""
+    k = math.ceil(pdtrik(u, mean))
+    return k - 1 if k > 0 and pdtr(k - 1, mean) >= u else k
+
+
 def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
     """Poisson(n |nu|) atoms i.i.d. from the normalized intensity.
 
@@ -123,9 +128,7 @@ def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
     mean = n * nu.total_mass
     if not math.isfinite(mean):
         raise InfiniteMass(f"n * |nu| = {mean!r}")
-    count = int(poisson_dist.ppf(rng.uniform(), mean)) if mean else 0
-    if not count:
-        return np.empty(0), np.empty(0)
+    count = _poisson_ppf(rng.uniform(), mean) if mean else 0
     return -np.log1p(-rng.uniform(size=count)), np.asarray(ndtri(rng.uniform(size=count)))
 
 

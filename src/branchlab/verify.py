@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import __version__
 from .engine import (
@@ -358,9 +359,7 @@ def single_particle_limit(h: Harness) -> CriterionResult:
     batch = h.conditioned_batch(t, 10_000, _TAG_T100)
     scaled = batch.positions / math.sqrt(t)
     sd = math.sqrt(h.model.psi / h.model.mu)
-    from scipy.stats import norm
-
-    ks = ks_distance(scaled, lambda x: norm.cdf(x / sd))
+    ks = ks_distance(scaled, lambda x: ndtr(x / sd))
     indep = independence_statistic(np.column_stack([batch.ages, scaled]))
     rows = [
         _row_from_report("KS of position/sqrt(t) vs Normal(0, psi/mu) at t=100", ks,

@@ -98,6 +98,13 @@ def test_run_criteria_looks_up_every_name_before_running(monkeypatch):
         verify.run_criteria(verify.Harness(1), ["survival-decay", "nonsense"])
 
 
+def test_verify_report_into_missing_directory_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_criteria", lambda h, names: pytest.fail("a criterion ran"))
+    report = tmp_path / "no" / "such" / "rows.jsonl"
+    assert dispatch(["verify", "solver-suite", "--seed", "1", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: --report ")
+
+
 def test_verify_criterion_error_keeps_its_traceback(monkeypatch):
     def too_few(h):
         raise TooFewSamples("need >= 1000 pairs, got 3")
@@ -226,10 +233,21 @@ def test_program_errors_keep_their_traceback(monkeypatch):
         dispatch(["coalescent", "--t", "5", "--reps", "3", "--seed", "1"])
 
 
-def test_module_entry_point_runs():
+def _fresh_python(*args):
+    """Run a new interpreter with this package's source first on its path."""
     src = str(Path(branchlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "branchlab.cli", "--version"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs():
+    proc = _fresh_python("-m", "branchlab.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"branchlab {branchlab.__version__}"
+
+
+def test_import_loads_no_scipy_stats_integrate_or_optimize():
+    proc = _fresh_python("-c", "import sys, branchlab.cli; print([m for m in "
+                               "('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -178,6 +178,19 @@ def test_limit_age_cdf_is_cdf_on_grid():
         assert vals[-1] > 1 - 1e-6
 
 
+@pytest.mark.parametrize("shape", [0.5, 2.0, 7.3])
+def test_limit_age_cdf_gamma_matches_quadrature(shape):
+    # (1/mu) int_0^x (1 - G) by quadrature against the closed form
+    from scipy.integrate import quad
+
+    law = Gamma(shape, 1.7)
+    m = validate_model(spec(lifetime=law))
+    xs = np.linspace(0, law.support_hi() * 1.2, 60)
+    ref = [quad(lambda s: 1.0 - float(law.cdf(s)), 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)[0] / m.mu
+           for x in xs]
+    assert np.max(np.abs(limit_age_cdf(m, xs) - ref)) < 1e-10
+
+
 def test_limit_age_ppf_inverts_cdf():
     m = validate_model(spec(lifetime=Gamma(2.0, 1.0)))
     for u in (0.1, 0.5, 0.9):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
-from scipy.stats import poisson
+from scipy.special import chdtri, ndtri
+from scipy.stats import chi2, kstwobign, poisson
 
 from branchlab.engine import Snapshot, iter_runs
 from branchlab.model import binary_exponential_model
 from branchlab.rng import stream
 from branchlab.stats import (
+    LEVEL,
     EmptySample,
     HorizonMismatch,
     TooFewSamples,
@@ -153,6 +154,20 @@ def test_independence_detects_dependence():
 def test_independence_too_few():
     with pytest.raises(TooFewSamples):
         independence_statistic(np.zeros((10, 2)))
+
+
+def test_thresholds_are_scipy_stats_quantiles():
+    u = stream(6).uniform(size=2000)
+    ks = ks_distance(u, lambda x: np.clip(x, 0, 1))
+    assert ks.threshold == kstwobign.isf(LEVEL) / math.sqrt(u.size)
+    draws = poisson.ppf(u, 100.0).astype(int)
+    gof = chi_square_gof(draws, lambda k: poisson.pmf(k, 100.0))
+    df = int(gof.target.split()[2])
+    assert df > 20 and gof.threshold == chi2.isf(LEVEL, df)
+    indep = independence_statistic(np.column_stack([u, u[::-1]]))
+    assert indep.threshold == chi2.isf(LEVEL, 9)
+    # every df a chi-square row can reach here, bit for bit
+    assert all(chdtri(df, LEVEL) == chi2.isf(LEVEL, df) for df in range(1, 200))
 
 
 # --- CvM --------------------------------------------------------------------

@@ -80,6 +80,22 @@ def test_poisson_field_moments():
     assert abs(counts.mean() - 100.0) < 3 * 10.0 / math.sqrt(counts.size)
 
 
+def test_poisson_count_is_scipy_poisson_ppf():
+    from scipy.stats import poisson
+
+    gen = np.random.default_rng(23)
+    u = gen.random(100_000)
+    mean = 10.0 ** gen.uniform(-3.0, 4.0, u.size)
+    # both ends of the u64 -> uniform map, at means across the range
+    ends = np.array([2.0**-54, 1.0 - 2.0**-53])
+    grid = np.array([1e-3, 0.1, 1.0, 7.5, 100.0, 1e4])
+    u = np.concatenate([u, np.repeat(ends, grid.size)])
+    mean = np.concatenate([mean, np.tile(grid, ends.size)])
+    expected = poisson.ppf(u, mean)
+    got = np.array([superprocess._poisson_ppf(float(a), float(m)) for a, m in zip(u, mean)])
+    assert np.array_equal(got, expected)
+
+
 def test_poisson_field_empty():
     ages, pos = sample_poisson_field(100, Intensity(total_mass=0.0), stream(2))
     assert ages.size == 0 and pos.size == 0
