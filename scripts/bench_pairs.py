@@ -16,8 +16,15 @@ sides wrote one and the same report), `change_lower_in_pairs`,
 meant to keep outputs byte-identical shows `reports_identical: false` or a
 higher `failed` count here first.
 
+With --verify-all the pass is `verify all` instead: each side runs every
+criterion in one interpreter, in `verify all` order on one `Harness`, and
+prints `{"verify_all_seed<S>": ...}` with per side the median wall seconds
+of each criterion and of the whole run, the sha256 of each criterion's
+report rows, and the wall seconds of every run.
+
 Usage: python scripts/bench_pairs.py REF [--seed 1 --seed 2 ...] [--pairs 10]
        [--seconds 20] [--workload many-survivors ...]
+       python scripts/bench_pairs.py REF --verify-all [--seed 1] [--pairs 3]
 """
 
 import argparse
@@ -61,6 +68,38 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "report_sha256": digests, "correct": result["correct"]}
 
 
+# one interpreter per side: time each criterion of `verify all --seed S`
+VERIFY_ALL = """
+import hashlib, json, sys, time
+from branchlab.verify import CRITERIA, Harness, run_criteria
+h = Harness(int(sys.argv[1]))
+model = h.model.digest()
+out = {}
+for name in CRITERIA:
+    t0 = time.perf_counter()
+    [res] = run_criteria(h, [name])
+    rows = "\\n".join(row.to_json(res.key, h.seed, model) for row in res.rows)
+    out[name] = {"wall_s": time.perf_counter() - t0, "sha256": hashlib.sha256(rows.encode()).hexdigest()}
+print(json.dumps(out))
+"""
+
+
+def verify_all_once(tree: Path, seed: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", VERIFY_ALL, str(seed)], cwd=tree, capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarize_verify_all(runs: list) -> dict:
+    names = list(runs[0])
+    return {
+        "wall_s": {name: round(statistics.median(r[name]["wall_s"] for r in runs), 3) for name in names},
+        "total_wall_s": round(statistics.median(sum(c["wall_s"] for c in r.values()) for r in runs), 3),
+        "sha256": {name: sorted({r[name]["sha256"] for r in runs}) for name in names},
+        "total_wall_s_runs": [round(sum(c["wall_s"] for c in r.values()), 3) for r in runs],
+    }
+
+
 def summarize(runs: list) -> dict:
     out = {}
     for k in METRICS:
@@ -82,6 +121,7 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat for several (default: every workload)")
+    ap.add_argument("--verify-all", action="store_true", help="time each criterion of `verify all` instead")
     args = ap.parse_args()
     workloads = args.workload or list(WORKLOADS)
     seeds = args.seed or [1]
@@ -90,6 +130,8 @@ def main() -> int:
         sides = {"parent": extract(args.ref, Path(tmp)), "change": ROOT}
         for tree in sides.values():
             build_kernel(tree)
+        if args.verify_all:
+            return pairs_verify_all(sides, seeds, args.pairs)
         runs = {(s, w): {side: [] for side in sides} for s in seeds for w in workloads}
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -117,6 +159,23 @@ def main() -> int:
                                       / statistics.median(r[k] for r in by_side["parent"]), 4) for k in METRICS},
             "wall_s_runs": {side: [round(r["wall_s"], 3) for r in by_side[side]] for side in by_side},
         }
+    print(json.dumps(blocks, indent=1))
+    return 0
+
+
+def pairs_verify_all(sides: dict, seeds: list, pairs: int) -> int:
+    runs = {s: {side: [] for side in sides} for s in seeds}
+    for i in range(pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for s in seeds:
+            for side in order:
+                r = verify_all_once(sides[side], s)
+                runs[s][side].append(r)
+                print(f"pair {i + 1} seed {s} verify all {side}: "
+                      f"wall_s {sum(c['wall_s'] for c in r.values()):.2f}", file=sys.stderr, flush=True)
+    blocks = {f"verify_all_seed{s}": {"pairs": pairs, **{side: summarize_verify_all(by_side[side])
+                                                          for side in sides}}
+              for s, by_side in runs.items()}
     print(json.dumps(blocks, indent=1))
     return 0
 

@@ -65,8 +65,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.report and not Path(args.report).parent.is_dir():
-        print(f"error: --report {args.report}: no such directory", file=sys.stderr)
+    if args.report and (Path(args.report).is_dir() or not Path(args.report).parent.is_dir()):
+        print(f"error: --report {args.report}: not a file path in an existing directory", file=sys.stderr)
         return USAGE_ERROR  # before any criterion runs, not after all of them
     names = None if "all" in args.checks else args.checks
     h = Harness(args.seed)
@@ -227,7 +227,7 @@ def dispatch(argv=None) -> int:
         return _cmd_verify(args)  # a criterion's own errors keep their traceback
     try:
         return args.fn(args)
-    except (ConfigError, ModelError, FileNotFoundError) as exc:
+    except (ConfigError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

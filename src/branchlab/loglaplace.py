@@ -4,10 +4,10 @@ The unknown u_t(x) satisfies u_t = H_t u_0 - lam * int_0^t H_{t-s}(u_s^2) ds,
 where H_t is the heat semigroup with variance lam*psi per unit time and u_0
 is the test function averaged over the exponential age marginal.  Time
 marching uses trapezoidal Volterra quadrature with the implicit endpoint
-solved in closed form (the nonnegative root of a quadratic); the history
-term is folded forward through the semigroup identity H_{t+dt} = H_dt H_t,
-so each step costs two Gaussian convolutions regardless of how long the
-history is.
+solved in closed form (the nonnegative root of a quadratic).  H is linear
+and H_{t+dt} = H_dt H_t, so the free term and the quadrature history advance
+together as one carried field, and each step costs one Gaussian convolution
+regardless of how long the history is.
 """
 
 from __future__ import annotations
@@ -151,18 +151,15 @@ def solve_u(
     values = np.empty((n_steps + 1, grid.nx))
     values[0] = u0
 
-    heat = lambda v: semigroup_apply(v, dt, lam, psi, grid)
-    g = u0.copy()          # H_{t_k} u0, advanced one step per iteration
-    hist = np.zeros(grid.nx)  # 0.5*H_{t_k}(u0^2) + sum_{j=1}^{k-1} H_{t_k - t_j}(u_j^2)
-    u_prev = u0
+    # c_k = H_{t_k} u0 - lam*dt*(0.5*H_{t_k}(u0^2) + sum_{j=1}^{k-1} H_{t_k - t_j}(u_j^2));
+    # H is linear, so c_k = H_dt(c_{k-1} - lam*dt*w_k*u_{k-1}^2), w_1 = 1/2, else 1
+    c = u0
     for k in range(1, n_steps + 1):
-        g = heat(g)
-        hist = heat(hist + (0.5 * u0**2 if k == 1 else u_prev**2))
+        w = 0.5 if k == 1 else 1.0
+        c = semigroup_apply(c - lam * dt * w * values[k - 1] ** 2, dt, lam, psi, grid)
         # nonnegative root of 0.5*lam*dt*u^2 + u = b, free of cancellation
-        b = np.maximum(g - lam * dt * hist, 0.0)
-        u = 2.0 * b / (1.0 + np.sqrt(1.0 + 2.0 * lam * dt * b))
-        values[k] = u
-        u_prev = u
+        b = np.maximum(c, 0.0)
+        values[k] = 2.0 * b / (1.0 + np.sqrt(1.0 + 2.0 * lam * dt * b))
     return GridSolution(times, values, grid)
 
 

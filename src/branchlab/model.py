@@ -370,13 +370,15 @@ def limit_age_ppf(model: ValidatedModel, u):
     law = model.lifetime
     if isinstance(law, Exponential):
         return -np.log1p(-np.asarray(u, dtype=float)) / law.rate
-    from scipy.optimize import brentq  # only non-exponential laws invert numerically
-    hi = law.support_hi()
-    flat = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty_like(flat)
-    for i, ui in enumerate(flat):
-        out[i] = brentq(lambda x: limit_age_cdf(model, x) - ui, 0.0, hi * (1 + 1e-9), xtol=1e-12)
-    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
+    # other laws: one bisection over the whole array, to 1e-12 absolute
+    u = np.asarray(u, dtype=float)
+    top = law.support_hi() * (1 + 1e-9)
+    lo, hi = np.zeros_like(u), np.full_like(u, top)
+    for _ in range(math.ceil(math.log2(top / 1e-12))):
+        mid = 0.5 * (lo + hi)
+        below = limit_age_cdf(model, mid) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return float(0.5 * (lo + hi)) if u.ndim == 0 else 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,9 @@ def cvm_limit_cdf(x: float) -> float:
 
 
 def cvm_critical_value() -> float:
-    """Upper LEVEL quantile of the asymptotic Cramer-von Mises law."""
-    from scipy.optimize import brentq  # only the CvM rows need a root finder
-    return float(brentq(lambda x: cvm_limit_cdf(x) - (1.0 - LEVEL), 0.02, 10.0, xtol=1e-10))
+    """Upper LEVEL quantile of the asymptotic Cramer-von Mises law: the root of
+    cvm_limit_cdf(x) = 1 - LEVEL, solved once (brentq, xtol 1e-10) and pinned."""
+    return 1.1678582965695705
 
 
 def cvm_two_sample(x, y) -> TestReport:

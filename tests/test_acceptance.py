@@ -193,9 +193,9 @@ REPORT_DIGESTS = {
     "ancestral-clt": "0aa6b7af4a6483b716a120e30c7786f2710cd9b3de287ee2a6b4d7c3c09d0ded",
     "coalescent-stability": "5497ae33704b67387a40624e305191a5a05bbdf2b1af22075faf816776deb72c",
     "moment-structure": "266384e78b459afe8524e1d179d1fad180acd98e9fffb1daf4c81fd951cff00b",
-    "total-mass-law": "9752ff26832d4823c8077c5ef51877a524c8c3bca68d4c704ecaf46fc3fc2a47",
-    "solver-agreement": "1f9f17170847f4ab521c7c1d0f3de7bc01a7f4a52edd285fbe33d6517602a8a9",
-    "solver-suite": "a9910d188af193e164f13820a7938118b4deff70e89d8f08f559d739af9300fb",
+    "total-mass-law": "b97cec667407b7dd2f48c44ac989fd2b64e53262dd5b65cbc7f1a8eab5f0a3a1",
+    "solver-agreement": "97f2173dfb7da443243baffea8339dab9a0d57ce431754f060c166c1d7baf558",
+    "solver-suite": "14fa04a1d3be1b02e595bc32f4125cccf9bf2dcac42aed5e054ce314a408e610",
     "determinism": "6a8323ac51893eadab031b6bc5eecd78692054da4e7408311186c73f16205d44",
 }
 

@@ -105,6 +105,12 @@ def test_verify_report_into_missing_directory_exits_2(monkeypatch, tmp_path, cap
     assert capsys.readouterr().err.startswith("error: --report ")
 
 
+def test_verify_report_into_a_directory_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_criteria", lambda h, names: pytest.fail("a criterion ran"))
+    assert dispatch(["verify", "solver-suite", "--seed", "1", "--report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --report ")
+
+
 def test_verify_criterion_error_keeps_its_traceback(monkeypatch):
     def too_few(h):
         raise TooFewSamples("need >= 1000 pairs, got 3")
@@ -218,6 +224,10 @@ def test_superprocess_bad_f_exits_2():
     "coalescent --t 5 --reps 3 --seed 1 --k 1",
     "coalescent --t 5 --reps 3 --seed 1 --k 0",
     "coalescent --t 5 --reps 3 --seed 1 --k -1",
+    "simulate --t 1 --seed 1 --model .",  # a directory where a file belongs
+    "simulate --t 1 --seed 1 --out .",
+    "coalescent --t 5 --reps 3 --seed 1 --out .",
+    "loglaplace --t 0.1 --summary .",
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert dispatch(argv.split()) == 2
@@ -251,3 +261,18 @@ def test_import_loads_no_scipy_stats_integrate_or_optimize():
                                "('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cvm_and_gamma_age_quantiles_load_no_scipy_optimize():
+    script = (
+        "import sys, numpy as np\n"
+        "from branchlab.model import Brownian, Gamma, ModelSpec, OffspringLaw, limit_age_ppf, validate_model\n"
+        "from branchlab.stats import cvm_two_sample\n"
+        "cvm_two_sample(np.arange(5.0), np.arange(7.0) + 0.5)\n"
+        "law = ModelSpec(Gamma(2.0, 2.0), OffspringLaw((0.5, 0.0, 0.5)), Brownian(1.0))\n"
+        "limit_age_ppf(validate_model(law), np.linspace(0.1, 0.9, 9))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -100,19 +100,18 @@ def test_step_too_large():
 
 
 def _sweep_solve(f, lam, psi, grid, max_sweeps=20, sweep_tol=1e-14):
-    """solve_u's earlier implicit step: fixed-point sweeps from the previous u."""
+    """solve_u's earlier implicit step: fixed-point sweeps from the previous u,
+    on the same carried field c_k as solve_u, so only the endpoint differs."""
     u0 = age_average(f, lam, grid)
     bound = float(u0.max())
     dt = grid.dt
-    heat = lambda v: semigroup_apply(v, dt, lam, psi, grid)
-    g, hist, u_prev = u0.copy(), np.zeros(grid.nx), u0
+    c, u_prev = u0, u0
     for k in range(1, grid.n_steps + 1):
-        g = heat(g)
-        hist = heat(hist + (0.5 * u0**2 if k == 1 else u_prev**2))
-        base = g - lam * dt * hist
+        w = 0.5 if k == 1 else 1.0
+        c = semigroup_apply(c - lam * dt * w * u_prev**2, dt, lam, psi, grid)
         u = u_prev.copy()
         for _ in range(max_sweeps):
-            u_new = np.clip(base - 0.5 * lam * dt * u * u, 0.0, None)
+            u_new = np.clip(c - 0.5 * lam * dt * u * u, 0.0, None)
             delta = float(np.max(np.abs(u_new - u)))
             u = u_new
             if delta <= sweep_tol * max(bound, 1.0):
@@ -127,6 +126,48 @@ def test_closed_form_step_matches_sweeps(f):
     new = solve_u(f, 1.0, 1.0, grid).final()
     old = _sweep_solve(f, 1.0, 1.0, grid)
     assert np.max(np.abs(new - old)) <= 1e-14 * np.max(old)
+
+
+def _two_field_solve(f, lam, psi, grid):
+    """solve_u's earlier march: the free term H_{t_k} u0 and the trapezoid
+    history each advanced by their own convolution, every stored step."""
+    u0 = age_average(f, lam, grid)
+    dt = grid.dt
+    heat = lambda v: semigroup_apply(v, dt, lam, psi, grid)
+    values = [u0]
+    g, hist = u0.copy(), np.zeros(grid.nx)
+    for k in range(1, grid.n_steps + 1):
+        g = heat(g)
+        hist = heat(hist + (0.5 * u0**2 if k == 1 else values[-1] ** 2))
+        b = np.maximum(g - lam * dt * hist, 0.0)
+        values.append(2.0 * b / (1.0 + np.sqrt(1.0 + 2.0 * lam * dt * b)))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize(
+    "f", [GAUSS, ONE, lambda a, x: 5.0 * ONE(a, x), parse_test_function("age-exp")],
+    ids=["gauss", "const1", "const5", "age-exp"],
+)
+def test_one_carried_field_matches_two_field_march(f, refined):
+    grid = default_grid(1.0, 1.0, 1.0)
+    if refined:
+        grid = grid.refined()
+    new = solve_u(f, 1.0, 1.0, grid).values
+    old = _two_field_solve(f, 1.0, 1.0, grid)
+    assert new.shape == old.shape
+    assert np.all(np.max(np.abs(new - old), axis=1) <= 1e-12 * np.max(old, axis=1))
+
+
+def test_one_convolution_per_step(monkeypatch):
+    import branchlab.loglaplace as loglaplace
+
+    calls = []
+    real = loglaplace.semigroup_apply
+    monkeypatch.setattr(loglaplace, "semigroup_apply", lambda *a: calls.append(1) or real(*a))
+    grid = default_grid(1.0, 1.0, 0.5)
+    solve_u(GAUSS, 1.0, 1.0, grid)
+    assert len(calls) == grid.n_steps
 
 
 def test_riccati_oracle():

@@ -198,6 +198,20 @@ def test_limit_age_ppf_inverts_cdf():
         assert abs(limit_age_cdf(m, x) - u) < 1e-9
 
 
+@pytest.mark.parametrize("law", [Gamma(2.0, 2.0), UniformLifetime(0.5, 3.0), Deterministic(2.0)])
+def test_limit_age_ppf_matches_brentq(law):
+    from scipy.optimize import brentq
+
+    m = validate_model(spec(lifetime=law))
+    u = stream(11).uniform(size=200).reshape(20, 10)
+    top = law.support_hi() * (1 + 1e-9)
+    ref = [brentq(lambda x: limit_age_cdf(m, x) - ui, 0.0, top, xtol=1e-15) for ui in u.ravel()]
+    got = limit_age_ppf(m, u)
+    assert got.shape == u.shape
+    assert np.max(np.abs(got.ravel() - ref)) <= 1e-12
+    assert isinstance(limit_age_ppf(m, 0.5), float)
+
+
 # --- samplers ---------------------------------------------------------------
 
 

@@ -188,6 +188,13 @@ def test_cvm_critical_value_monotone():
     assert cvm_critical_value() == pytest.approx(1.16786, abs=2e-3)  # LEVEL = 0.001
 
 
+def test_cvm_critical_value_is_the_solved_root():
+    from scipy.optimize import brentq
+
+    root = brentq(lambda x: cvm_limit_cdf(x) - (1.0 - LEVEL), 0.02, 10.0, xtol=1e-10)
+    assert cvm_critical_value() == root
+
+
 def test_cvm_two_sample_against_scipy():
     from scipy.stats import cramervonmises_2samp
 
