@@ -136,6 +136,8 @@ def _cmd_superprocess(args) -> int:
 
 
 def _cmd_loglaplace(args) -> int:
+    if args.csv_times < 2:
+        raise ConfigError(f"--csv-times {args.csv_times}: the CSV needs at least 2 slices, t = 0 and T")
     f = parse_test_function(args.f)
     grid = default_grid(args.lam, args.psi, args.t, nx=args.nx, dt=args.dt)
     sol = solve_u(f, args.lam, args.psi, grid)
@@ -152,8 +154,7 @@ def _cmd_loglaplace(args) -> int:
         "version": f"branchlab-{__version__}",
     }
     if args.out:
-        stride = max(1, sol.times.size // max(args.csv_times, 1))
-        Path(args.out).write_text(solution_csv(sol, stride=stride))
+        Path(args.out).write_text(solution_csv(sol, args.csv_times))
     _write(args.summary, json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     log.add_argument("--nx", type=int, default=1024)
     log.add_argument("--nu-mass", type=float, default=1.0)
     log.add_argument("--out", help="CSV path for the (t, x, u) trajectory")
-    log.add_argument("--csv-times", type=int, default=21, help="time slices kept in the CSV")
+    log.add_argument("--csv-times", type=int, default=21, help="time slices in the CSV, t = 0 and T among them")
     log.add_argument("--summary", help="summary JSON path (default stdout)")
     log.set_defaults(fn=_cmd_loglaplace)
     return p

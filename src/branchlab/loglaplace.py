@@ -202,10 +202,10 @@ def integrate_against(values_row: np.ndarray, grid: GridSpec, nu) -> float:
     return float(nu.total_mass * np.trapezoid(values_row * pdf, grid.xs))
 
 
-def solution_csv(sol: GridSolution, stride: int = 1) -> str:
-    """CSV of (t, x, u) rows, striding time steps to keep files reasonable."""
+def solution_csv(sol: GridSolution, n_times: int) -> str:
+    """CSV of (t, x, u) rows at `n_times` evenly spaced steps, t = 0 and T included."""
     lines = ["t,x,u"]
-    for k in range(0, sol.times.size, stride):
+    for k in np.unique(np.round(np.linspace(0, sol.times.size - 1, n_times)).astype(int)):
         t = float(sol.times[k])
         for x, u in zip(sol.grid.xs, sol.values[k]):
             lines.append(f"{t!r},{float(x)!r},{float(u)!r}")

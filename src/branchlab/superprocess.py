@@ -5,7 +5,8 @@ motion variance by 1/n, starts from a Poisson field of n*|nu| particles, and
 assigns every particle weight 1/n.  Offspring come from a critical law whose
 generating function satisfies n^2(F(1-u/n) - (1-u/n)) -> u^2, which pins the
 offspring variance at 2 and makes the limiting log-Laplace equation's
-quadratic nonlinearity carry coefficient lam exactly.
+quadratic nonlinearity carry coefficient lam exactly.  Fields are drawn a
+batch at a time from key arrays, each a pure function of its own key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
-from .rng import RandomStream
+from .rng import RandomStream, derive_key, uniform_at
 from .stats import Estimate
 
 EPSILON = 0.01  # smallest macroscopic time scaled_fields accepts
@@ -113,33 +114,38 @@ class ScalingFamily:
         return self.model().psi * self.n
 
 
-def _poisson_ppf(u: float, mean: float) -> int:
-    """Poisson(mean) quantile at u, step for step as scipy.stats.poisson.ppf."""
-    k = math.ceil(pdtrik(u, mean))
-    return k - 1 if k > 0 and pdtr(k - 1, mean) >= u else k
+def _poisson_ppf(u: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson(mean) quantiles at u, step for step as scipy.stats.poisson.ppf."""
+    k = np.ceil(pdtrik(u, mean))
+    below = np.maximum(k - 1, 0)
+    return np.where(pdtr(below, mean) >= u, below, k).astype(np.int64)
 
 
-def sample_poisson_field(n: int, nu: Intensity, rng: RandomStream):
-    """Poisson(n |nu|) atoms i.i.d. from the normalized intensity.
-
-    Returns (ages, positions).  Deterministic in the stream: the count comes
-    from the Poisson quantile at one uniform, the atoms from subsequent ones.
+def sample_poisson_field(n: int, nu: Intensity, keys: np.ndarray):
+    """Poisson(n |nu|) atoms i.i.d. from the normalized intensity, one field
+    per uint64 key, as (field, ages, positions) with `field` indexing `keys`
+    in ascending order.  A field is a pure function of its key: its count c
+    is the Poisson quantile of uniform_at(key, 0), its ages use slots 1..c
+    and its positions slots c+1..2c.
     """
     mean = n * nu.total_mass
     if not math.isfinite(mean):
         raise InfiniteMass(f"n * |nu| = {mean!r}")
-    count = _poisson_ppf(rng.uniform(), mean) if mean else 0
-    return -np.log1p(-rng.uniform(size=count)), np.asarray(ndtri(rng.uniform(size=count)))
+    counts = _poisson_ppf(uniform_at(keys, 0), mean) if mean else np.zeros(keys.size, np.int64)
+    field = np.repeat(np.arange(keys.size), counts)
+    slot = 1 + np.arange(field.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ages = -np.log1p(-uniform_at(keys[field], slot))
+    return field, ages, ndtri(uniform_at(keys[field], slot + counts[field]))
 
 
 def scaled_fields(family: ScalingFamily, t: float, reps: int, rng: RandomStream):
     """Simulate `reps` independent fields of Y^n to macroscopic time t
     (microscopic n*t), `_FIELD_BATCH` at a time.
 
-    Field r starts from the Poisson field of rng.child(r).child(0) and runs
-    under the key derived from rng.child(r), so it does not depend on the
-    batching.  Yields simulate_fields' (rep, ages, positions, counts) per
-    batch, rep counted from the batch's first field; each alive particle
+    Field r, of key k = rng.child(r).key, draws its Poisson field from
+    derive_key(k, 0) and runs under derive_key(k, 1), so it does not depend
+    on the batching.  Yields simulate_fields' (rep, ages, positions, counts)
+    per batch, rep counted from the batch's first field; each alive particle
     carries weight 1/n.  A CapExceeded names fields by their index in 0..reps-1.
     """
     if not EPSILON <= t < math.inf:
@@ -148,36 +154,27 @@ def scaled_fields(family: ScalingFamily, t: float, reps: int, rng: RandomStream)
         raise ConfigError("reps must be positive")
     model = family.model()
     for start in range(0, reps, _FIELD_BATCH):
-        root_rep, root_birth, root_pos, keys = [], [], [], []
-        for r in range(start, min(start + _FIELD_BATCH, reps)):
-            s = rng.child(r)
-            ages0, pos0 = sample_poisson_field(family.n, family.nu, s.child(0))
-            root_rep.append(np.full(ages0.size, r - start, dtype=np.int64))
-            root_birth.append(-ages0)
-            root_pos.append(pos0)
-            keys.append(s.child(1).key)
+        fields = derive_key(rng.key, np.arange(start, min(start + _FIELD_BATCH, reps)))
+        rep, ages, positions = sample_poisson_field(family.n, family.nu, derive_key(fields, 0))
         try:
-            batch = simulate_fields(model, family.n * t, np.asarray(keys, dtype=np.uint64),
-                                    np.concatenate(root_rep), np.concatenate(root_birth),
-                                    np.concatenate(root_pos))
+            batch = simulate_fields(model, family.n * t, derive_key(fields, 1), rep, -ages, positions)
         except CapExceeded as exc:
             raise CapExceeded([start + r for r in exc.replicates]) from None
         yield batch
 
 
 def laplace_mc(family: ScalingFamily, f: Callable, t: float, reps: int, rng: RandomStream) -> Estimate:
-    """-log E[exp(-<f, Y^n_t>)] over `reps` independent fields of
-    `scaled_fields`.  The stderr is the delta-method transfer of the
-    exp-functional's sampling error.
+    """-log E[exp(-<f, Y^n_t>)] over `reps` independent fields of `scaled_fields`,
+    with the delta-method transfer of the exp-functional's sampling error as
+    stderr; ConfigError if exp(-<f, Y^n_t>) underflows to 0 in every field.
     """
     weight = 1.0 / family.n
-    vals = []
-    for rep, ages, positions, counts in scaled_fields(family, t, reps, rng):
-        total = np.zeros(counts.size)
-        if ages.size:
-            np.add.at(total, rep, weight * np.asarray(f(ages, positions), dtype=float))
-        vals.append(np.exp(-total))
-    vals = np.concatenate(vals)
+    vals = np.concatenate([
+        np.exp(-np.bincount(rep, weight * np.asarray(f(ages, positions), dtype=float), counts.size))
+        for rep, ages, positions, counts in scaled_fields(family, t, reps, rng)
+    ])
     mean = float(vals.mean())
+    if mean == 0.0:
+        raise ConfigError(f"exp(-<f, Y^n_t>) underflowed to 0 in every one of the {reps} fields")
     se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return Estimate(value=float(-math.log(mean)) + 0.0, stderr=se / mean, n=reps)

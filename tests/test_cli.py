@@ -170,7 +170,20 @@ def test_loglaplace_csv(tmp_path):
     rc = dispatch(["loglaplace", "--f", "gauss", "--t", "0.5", "--nx", "256", "--dt", "0.01",
                    "--summary", str(summary), "--out", str(csv), "--csv-times", "3"])
     assert rc == 0
-    assert csv.read_text().startswith("t,x,u")
+    text = csv.read_text()
+    assert text.startswith("t,x,u")
+    times = sorted({float(line.split(",")[0]) for line in text.splitlines()[1:]})
+    assert times == pytest.approx([0.0, 0.25, 0.5], abs=1e-12)
+
+
+def test_loglaplace_csv_default_slices_end_at_t(tmp_path):
+    csv = tmp_path / "u.csv"
+    rc = dispatch(["loglaplace", "--f", "gauss", "--t", "0.5", "--summary", str(tmp_path / "s.json"),
+                   "--out", str(csv)])
+    assert rc == 0
+    times = sorted({float(line.split(",")[0]) for line in csv.read_text().splitlines()[1:]})
+    assert len(times) == 21
+    assert times[0] == 0.0 and times[-1] == 0.5
 
 
 def test_superprocess_row(tmp_path):
@@ -186,6 +199,13 @@ def test_superprocess_row(tmp_path):
 
 def test_superprocess_bad_f_exits_2():
     assert dispatch(["superprocess", "--n", "20", "--t", "1.0", "--f", "nope", "--seed", "1"]) == 2
+
+
+def test_superprocess_all_fields_underflow_exits_2(capsys):
+    # exp(-<2000, Y>) is 0 in double precision for every field holding a particle
+    argv = ["superprocess", "--n", "2", "--t", "0.5", "--reps", "3", "--f", "const:2000", "--seed", "1"]
+    assert dispatch(argv) == 2
+    assert "underflowed to 0 in every one of the 3 fields" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,6 +248,8 @@ def test_superprocess_bad_f_exits_2():
     "simulate --t 1 --seed 1 --out .",
     "coalescent --t 5 --reps 3 --seed 1 --out .",
     "loglaplace --t 0.1 --summary .",
+    "loglaplace --t 0.5 --csv-times 1",
+    "loglaplace --t 0.5 --csv-times 0",
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert dispatch(argv.split()) == 2

@@ -220,7 +220,7 @@ def test_self_convergence():
 def test_solution_csv_header_and_size():
     grid = GridSpec(-2.0, 2.0, 16, 0.25, 0.5)
     sol = solve_u(ONE, 1.0, 1.0, grid)
-    text = solution_csv(sol, stride=1)
+    text = solution_csv(sol, grid.n_steps + 1)
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + grid.nx * (grid.n_steps + 1)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri, pdtr, pdtrik
+from scipy.stats import poisson
 
 from branchlab import engine
 from branchlab.engine import CapExceeded
 from branchlab.loglaplace import parse_test_function
 from branchlab.model import ConfigError, OffspringLaw
 from branchlab import superprocess
-from branchlab.rng import stream
+from branchlab.rng import RandomStream, stream
 from branchlab.superprocess import (
     InfiniteMass,
     Intensity,
@@ -73,16 +75,45 @@ def test_intensity_validation():
         Intensity(total_mass=math.inf)
 
 
+def _keys(seed, count):
+    return np.array([stream(seed, i).key for i in range(count)], dtype=np.uint64)
+
+
+def _scalar_poisson_ppf(u, mean):
+    k = math.ceil(pdtrik(u, mean))
+    return k - 1 if k > 0 and pdtr(k - 1, mean) >= u else k
+
+
+def _stream_field(n, nu, rng):
+    """The per-field body the batch replaced: the count from the Poisson
+    quantile at the stream's first uniform, the atoms from the next ones."""
+    mean = n * nu.total_mass
+    count = _scalar_poisson_ppf(rng.uniform(), mean) if mean else 0
+    return -np.log1p(-rng.uniform(size=count)), np.asarray(ndtri(rng.uniform(size=count)))
+
+
+@pytest.mark.parametrize("n, mass", [(2, 1.0), (20, 1.0), (3, 0.05), (50, 0.0)])
+def test_batch_field_equals_its_streams_draws(n, mass):
+    nu = Intensity(total_mass=mass)
+    keys = _keys(21, 40)
+    field, ages, pos = sample_poisson_field(n, nu, keys)
+    assert np.all(np.diff(field) >= 0)
+    counts = np.bincount(field, minlength=keys.size)
+    if 0 < n * mass < 3:
+        assert counts.min() == 0 < counts.max()  # empty fields among full ones
+    for j, key in enumerate(keys):
+        a, x = _stream_field(n, nu, RandomStream(int(key)))
+        assert np.array_equal(ages[field == j], a) and np.array_equal(pos[field == j], x)
+
+
 def test_poisson_field_moments():
-    counts = [sample_poisson_field(100, Intensity(), stream(1, i))[0].size for i in range(400)]
-    counts = np.asarray(counts, dtype=float)
+    field, _, _ = sample_poisson_field(100, Intensity(), _keys(1, 400))
+    counts = np.bincount(field, minlength=400).astype(float)
     # Poisson(100): mean 100, sd 10
     assert abs(counts.mean() - 100.0) < 3 * 10.0 / math.sqrt(counts.size)
 
 
 def test_poisson_count_is_scipy_poisson_ppf():
-    from scipy.stats import poisson
-
     gen = np.random.default_rng(23)
     u = gen.random(100_000)
     mean = 10.0 ** gen.uniform(-3.0, 4.0, u.size)
@@ -92,23 +123,25 @@ def test_poisson_count_is_scipy_poisson_ppf():
     u = np.concatenate([u, np.repeat(ends, grid.size)])
     mean = np.concatenate([mean, np.tile(grid, ends.size)])
     expected = poisson.ppf(u, mean)
-    got = np.array([superprocess._poisson_ppf(float(a), float(m)) for a, m in zip(u, mean)])
-    assert np.array_equal(got, expected)
+    got = superprocess._poisson_ppf(u, mean)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
 def test_poisson_field_empty():
-    ages, pos = sample_poisson_field(100, Intensity(total_mass=0.0), stream(2))
-    assert ages.size == 0 and pos.size == 0
+    field, ages, pos = sample_poisson_field(100, Intensity(total_mass=0.0), _keys(2, 3))
+    assert field.size == 0 and ages.size == 0 and pos.size == 0
+    field, ages, pos = sample_poisson_field(100, Intensity(), _keys(2, 0))
+    assert field.size == 0 and ages.size == 0 and pos.size == 0
 
 
 def test_poisson_field_deterministic():
-    a1, p1 = sample_poisson_field(50, Intensity(), stream(3))
-    a2, p2 = sample_poisson_field(50, Intensity(), stream(3))
-    assert np.array_equal(a1, a2) and np.array_equal(p1, p2)
+    f1, a1, p1 = sample_poisson_field(50, Intensity(), _keys(3, 5))
+    f2, a2, p2 = sample_poisson_field(50, Intensity(), _keys(3, 5))
+    assert np.array_equal(f1, f2) and np.array_equal(a1, a2) and np.array_equal(p1, p2)
 
 
 def test_poisson_field_marginals():
-    ages, pos = sample_poisson_field(20_000, Intensity(), stream(4))
+    _, ages, pos = sample_poisson_field(20_000, Intensity(), _keys(4, 1))
     assert abs(ages.mean() - 1.0) < 4 / math.sqrt(ages.size)
     assert abs(pos.mean()) < 4 / math.sqrt(pos.size)
     assert abs(pos.std() - 1.0) < 0.02
