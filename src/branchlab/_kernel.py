@@ -1,16 +1,20 @@
 """The exact-integer and copy-only part of an engine wave in C, compiled once.
 
-`mix_xor`, `uniform_xor`, `wave_keys`, `offspring`, `branch`, `gather` and
-`ancestry` match `rng._mix_numpy(a ^ salt)`, its `rng.uniform_from_u64` (the
-same IEEE steps and clamp below 1), `engine._wave_keys_numpy`,
-`engine._offspring_numpy`, `engine._branch_numpy`, `engine._gather_numpy` and
+`mix_xor`, `uniform_xor`, `wave_keys`, `offspring`, `branch`, `record`,
+`prune`, `gather` and `ancestry` match `rng._mix_numpy(a ^ salt)`, its
+`rng.uniform_from_u64` (the same IEEE steps and clamp below 1),
+`engine._wave_keys_numpy`, `engine._offspring_numpy`, `engine._branch_numpy`,
+`engine._record_numpy`, `engine._prune_numpy`, `engine._gather_numpy` and
 `engine._ancestry_sum_numpy` bit for bit.  `wave_keys` numbers a wave's rows,
 derives their keys and, unless given NULL, draws their lifetime uniforms; it
 returns -1 for a replicate outside [0, m).  `offspring` adds each row's
 lifetime to its birth, compares the death with the horizon and counts the
 dead rows' children; `branch` then copies the parents' columns into the
-children's rows.  `gather` cuts kept runs out of a round's wave-ordered rows
-with one counting pass, and `ancestry` sums each kept row's position from its
+children's rows.  `record` appends a snapshot wave's rows that have children
+or are alive to its batch's record, and `prune` drops, in one reverse pass,
+the record rows with neither an alive row nor a row of the current front
+below them.  `gather` cuts kept runs out of a round's wave-ordered rows with
+one counting pass, and `ancestry` sums each kept row's position from its
 parent's in id order.  Beyond the u64 -> double map the C only hashes, adds,
 compares and copies, one IEEE step at a time as numpy takes them, so it needs
 no libm.  Without the library `LIB` is None, a RuntimeWarning says why, and
@@ -69,20 +73,43 @@ int64_t offspring(const double *birth, const double *lifetime, double horizon, c
     }
     return total;
 }
-void branch(const int64_t *kids, const int64_t *rep, const double *death, const double *pos_end,
-            const int64_t *local, int64_t *rep_out, double *birth, double *pos_start,
-            int64_t *parent, int64_t n) {  /* positions and parents are optional (NULL) */
+void branch(const int64_t *kids, const int64_t *rep, const double *death, const int64_t *local,
+            int64_t *rep_out, double *birth, int64_t *parent, int64_t n) {  /* parents are optional (NULL) */
     for (int64_t i = 0, j = 0; i < n; i++) {  /* loads hoisted, as the outputs might alias them */
         int64_t r = rep[i], end = j + kids[i];
         double d = death[i];
         if (parent) for (int64_t k = j; k < end; k++) parent[k] = local[i];
-        if (pos_start) {
-            double p = pos_end[i];
-            for (; j < end; j++) rep_out[j] = r, birth[j] = d, pos_start[j] = p;
+        for (; j < end; j++) rep_out[j] = r, birth[j] = d;
+    }
+}
+int64_t record(const int64_t *kids, const uint8_t *alive, const int64_t *parent, const uint64_t *keys,
+               const double *birth, const double *death, int64_t *local, int64_t *rec_parent,
+               uint64_t *rec_key, double *rec_birth, double *rec_death, int64_t used, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {  /* a row without children that dies is not recorded */
+        if (kids[i] > 0 || alive[i]) {
+            rec_parent[used] = parent[i], rec_key[used] = keys[i];
+            rec_birth[used] = birth[i], rec_death[used] = death[i];
+            local[i] = used++;
         } else {
-            for (; j < end; j++) rep_out[j] = r, birth[j] = d;
+            local[i] = -1;
         }
     }
+    return used;
+}
+int64_t prune(int64_t *parent, uint64_t *key, double *birth, double *death, int64_t n, double horizon,
+              int64_t *front, int64_t n_front, int64_t *at) {
+    for (int64_t j = 0; j < n; j++) at[j] = death[j] > horizon;  /* at: marks, then new rows */
+    for (int64_t i = 0; i < n_front; i++) if (front[i] >= 0) at[front[i]] = 1;
+    for (int64_t j = n - 1; j >= 0; j--) if (at[j] && parent[j] >= 0) at[parent[j]] = 1;
+    int64_t k = 0;
+    for (int64_t j = 0; j < n; j++) {  /* a kept row's parent is kept and lies before it */
+        if (!at[j]) continue;
+        int64_t p = parent[j];
+        parent[k] = p < 0 ? p : at[p], key[k] = key[j], birth[k] = birth[j], death[k] = death[j];
+        at[j] = k++;
+    }
+    for (int64_t i = 0; i < n_front; i++) if (front[i] >= 0) front[i] = at[front[i]];
+    return k;
 }
 void gather(const int64_t *rep, const int64_t *slot, int64_t *cursor, int64_t *idx, int64_t n) {
     for (int64_t i = 0; i < n; i++) {  /* slot < 0: the replicate is not kept */
@@ -94,7 +121,7 @@ void ancestry(const int64_t *parent, const double *disp, const int64_t *bounds, 
               int64_t runs, double *pos) {  /* parents precede their children within a run */
     for (int64_t r = 0; r < runs; r++)
         for (int64_t j = bounds[r], s = bounds[r]; j < bounds[r + 1]; j++)
-            pos[j] = (parent[j] < 0 ? root[r] : pos[s + parent[j]]) + disp[j];
+            pos[j] = (parent[j] < 0 ? root[r - 1 - parent[j]] : pos[s + parent[j]]) + disp[j];
 }
 """
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -147,7 +174,10 @@ def _load():
     lib.wave_keys.argtypes, lib.wave_keys.restype = (_P, _P, _U64, _U64, _P, _P, _P, _P, _I64, _I64), _I64
     lib.offspring.argtypes = (_P, _P, ctypes.c_double, _P, _U64, _P, _I64, _P, _P, _P, _I64)
     lib.offspring.restype = _I64
-    lib.branch.argtypes, lib.branch.restype = (_P,) * 9 + (_I64,), None
+    lib.branch.argtypes, lib.branch.restype = (_P,) * 7 + (_I64,), None
+    lib.record.argtypes, lib.record.restype = (_P,) * 11 + (_I64, _I64), _I64
+    lib.prune.argtypes = (_P,) * 4 + (_I64, ctypes.c_double, _P, _I64, _P)
+    lib.prune.restype = _I64
     lib.gather.argtypes, lib.gather.restype = (_P,) * 4 + (_I64,), None
     lib.ancestry.argtypes, lib.ancestry.restype = (_P,) * 4 + (_I64, _P), None
     return lib

@@ -114,8 +114,8 @@ def _cmd_superprocess(args) -> int:
     f = parse_test_function(args.f)
     nu = Intensity(total_mass=args.nu_mass)
     fam = ScalingFamily(n=args.n, lam=args.lam, nu=nu)
+    grid = default_grid(args.lam, fam.psi_unscaled(), args.t)  # a grid error comes before the fields
     est = laplace_mc(fam, f, args.t, args.reps, stream(args.seed))
-    grid = default_grid(args.lam, fam.psi_unscaled(), args.t)
     sol = solve_u(f, args.lam, fam.psi_unscaled(), grid)
     target = integrate_against(sol.final(), grid, nu)
     payload = {

@@ -21,12 +21,16 @@ children written straight after it, which doubles when they do not fit; a
 counts or snapshot wave writes its children into a table made for them.
 
 Only the tree (lifetimes and offspring) decides whether an attempt survives,
-and a row's displacement is a pure function of its key and life span.  So an
-arena batch's waves draw the tree only; once the round is settled,
-`_extract_runs` draws the motion of the kept runs' rows in one pass, from the
-keys and slot a wave would use, and sums positions down each tree in id
-order, bit for bit as a wave would.  Counts and snapshot waves draw motion in
-the loop.
+and a row's displacement is a pure function of its key and life span.  So
+arena and snapshot waves draw the tree only.  Once an arena round is settled,
+`_extract_runs` draws the motion of the kept runs' rows in one pass.  A
+snapshot batch appends each wave's rows that have children or are alive to a
+record (`_record`), compacts it to the rows with an alive or front row below
+them whenever it is full (`_prune`), and after the last wave draws the motion
+of the rows left, those alive at the horizon and their ancestors, in one
+pass.  Both draw from the keys and slot a wave would use and sum positions
+down the tree in id order, bit for bit as a wave would.  Counts waves still
+draw every row's motion and discard it.
 """
 
 from __future__ import annotations
@@ -140,10 +144,12 @@ class _Batch:
 
 
 _I8, _U8, _F8, _B1 = map(np.dtype, (np.int64, np.uint64, np.float64, np.bool_))
-_TREE = {"rep": _I8, "parent": _I8, "birth": _F8, "lifetime": _F8, "alive": _B1}  # an arena batch
-_FRONT = {"rep": _I8, "birth": _F8, "pos": _F8, "lifetime": _F8, "alive": _B1}  # one counts/snapshot wave
+_TREE = {"rep": _I8, "parent": _I8, "birth": _F8, "lifetime": _F8, "alive": _B1}  # an arena batch, a snapshot wave
+_FRONT = {"rep": _I8, "birth": _F8, "lifetime": _F8, "alive": _B1}  # one counts wave
 _SCRATCH = {"local": _I8, "keys": _U8, "u_life": _F8, "death": _F8, "kids": _I8}  # one wave's work
+_RECORD = {"parent": _I8, "key": _U8, "birth": _F8, "death": _F8}  # a snapshot batch's rows with children or alive
 _TREE_START_MAX = 1 << 22  # rows an arena table starts with at most
+_RECORD_START = 1 << 16  # rows a record starts with
 
 
 class _Table:
@@ -240,32 +246,95 @@ def _offspring_numpy(birth, lifetime, horizon, keys, cum):
 
 
 def _branch(t: _Table, lo: int, hi: int, w: _Table, out: _Table, at: int) -> None:
-    """The children of the rows lo:hi of `t` (counts and deaths in `w`), in
-    row order, into the rows of `out` from `at`: their replicates, births
-    (the parent's death), start positions (the parent's end) if the tables
-    have positions and parent ids if `out` has parents."""
-    n, motion, tree = hi - lo, "pos" in t.columns, "parent" in out.columns
+    """The children of the rows lo:hi of `t` (counts, deaths and `local` in
+    `w`), in row order, into the rows of `out` from `at`: their replicates,
+    births (the parent's death) and, if `out` has parents, the parent's
+    `local`."""
+    n, tree = hi - lo, "parent" in out.columns
     if _kernel.LIB is None:
         children = _branch_numpy(w.col("kids", 0, n), t.col("rep", lo, hi), w.col("death", 0, n),
-                                 t.col("pos", lo, hi) if motion else None,
                                  w.col("local", 0, n) if tree else None)
-        for name, v in zip(("rep", "birth", "pos", "parent"), children):
+        for name, v in zip(("rep", "birth", "parent"), children):
             if v is not None:
                 out.col(name, at, at + v.size)[...] = v
         return
-    _kernel.LIB.branch(w.at["kids"], t.at["rep"] + 8 * lo, w.at["death"],
-                       t.at["pos"] + 8 * lo if motion else None, w.at["local"] if tree else None,
+    _kernel.LIB.branch(w.at["kids"], t.at["rep"] + 8 * lo, w.at["death"], w.at["local"] if tree else None,
                        out.at["rep"] + 8 * at, out.at["birth"] + 8 * at,
-                       out.at["pos"] + 8 * at if motion else None,
                        out.at["parent"] + 8 * at if tree else None, n)
 
 
-def _branch_numpy(kids, rep, death, pos_end=None, local=None):
-    """_branch in numpy, returning the children's replicates, births, start
-    positions if `pos_end` is given and parents if `local` is (else None):
-    its oracle and its path without the kernel."""
+def _branch_numpy(kids, rep, death, local=None):
+    """_branch in numpy, returning the children's replicates, births and
+    parents if `local` is given (else None): its oracle and its path without
+    the kernel."""
     copy = lambda col: None if col is None else np.repeat(col, kids)
-    return copy(rep), copy(death), copy(pos_end), copy(local)
+    return copy(rep), copy(death), copy(local)
+
+
+def _record(t: _Table, lo: int, hi: int, w: _Table, rec: _Table, used: int) -> int:
+    """Append the rows lo:hi of `t` that have children or are alive (counts,
+    keys and deaths in `w`) to the record `rec` from its row `used`, which
+    must hold them all: their parents, keys, births and deaths.  Each row's
+    record row (-1 if not appended) goes to `w`'s `local`; returns the record
+    rows now used."""
+    n = hi - lo
+    if _kernel.LIB is None:
+        local, *cols = _record_numpy(w.col("kids", 0, n), t.col("alive", lo, hi), t.col("parent", lo, hi),
+                                     w.col("keys", 0, n), t.col("birth", lo, hi), w.col("death", 0, n), used)
+        w.col("local", 0, n)[...] = local
+        for name, v in zip(_RECORD, cols):
+            rec.col(name, used, used + v.size)[...] = v
+        return used + cols[0].size
+    return _kernel.LIB.record(w.at["kids"], t.at["alive"] + lo, t.at["parent"] + 8 * lo, w.at["keys"],
+                              t.at["birth"] + 8 * lo, w.at["death"], w.at["local"],
+                              *(rec.at[k] for k in _RECORD), used, n)
+
+
+def _record_numpy(kids, alive, parent, keys, birth, death, used):
+    """_record in numpy, returning the rows' record rows (-1 if not
+    appended) and the appended parents, keys, births and deaths: its oracle
+    and its path without the kernel."""
+    rows = np.flatnonzero((kids > 0) | alive)
+    local = np.full(kids.size, -1, np.int64)
+    local[rows] = used + np.arange(rows.size)
+    return local, parent[rows], keys[rows], birth[rows], death[rows]
+
+
+def _prune(rec: _Table, used: int, front: np.ndarray, horizon: float) -> int:
+    """Compact the first `used` rows of the record `rec`, in order, to those
+    that die after `horizon` or have such a row or a front row below them,
+    remapping the record's parents and the front's, `front` (C-contiguous,
+    in place); returns the rows kept."""
+    if _kernel.LIB is None:
+        *cols, front[...] = _prune_numpy(*(rec.col(k, 0, used) for k in _RECORD), horizon, front)
+        for name, v in zip(_RECORD, cols):
+            rec.col(name, 0, v.size)[...] = v
+        return cols[0].size
+    at = np.empty(used, np.int64)
+    return _kernel.LIB.prune(*(rec.at[k] for k in _RECORD), used, horizon, _kernel.address(front), front.size,
+                             _kernel.address(at))
+
+
+def _prune_numpy(parent, key, birth, death, horizon, front):
+    """_prune in numpy, returning the kept parents, keys, births and deaths
+    and the remapped front parents: its oracle and its path without the
+    kernel.  A negative parent is a root's and is kept as it is."""
+    keep = death > horizon
+    keep[front[front >= 0]] = True
+    rows = np.flatnonzero(keep)
+    while rows.size:  # one generation up per pass
+        up = np.unique(parent[rows])
+        rows = up[up >= 0]
+        rows = rows[~keep[rows]]
+        keep[rows] = True
+    at = np.cumsum(keep) - 1
+
+    def remap(p):
+        out, up = p.copy(), p >= 0
+        out[up] = at[p[up]]
+        return out
+
+    return remap(parent[keep]), key[keep], birth[keep], death[keep], remap(front)
 
 
 def _displacement(motion, keys, birth, death, horizon) -> np.ndarray:
@@ -304,13 +373,14 @@ def _gather_numpy(rep: np.ndarray, rows: np.ndarray, n_rep: int) -> np.ndarray:
 def _ancestry_sum(parent, disp, bounds, root) -> np.ndarray:
     """Positions of runs laid out back to back (run r is rows bounds[r] to
     bounds[r + 1], parents before children, `parent` local to the run): a root
-    adds its displacement to root[r], any other row to its parent's position."""
+    adds its displacement to root[r - 1 - parent] (root[r] for a parent of
+    -1), any other row to its parent's position."""
     if _kernel.LIB is None:
         return _ancestry_sum_numpy(parent, disp, bounds, root)
     parent, disp = np.ascontiguousarray(parent, np.int64), np.ascontiguousarray(disp, float)
     bounds, root = np.ascontiguousarray(bounds, np.int64), np.ascontiguousarray(root, float)
     pos = np.empty(disp.size)
-    _kernel.LIB.ancestry(*map(_kernel.address, (parent, disp, bounds, root)), root.size,
+    _kernel.LIB.ancestry(*map(_kernel.address, (parent, disp, bounds, root)), bounds.size - 1,
                          _kernel.address(pos))
     return pos
 
@@ -333,7 +403,7 @@ def _ancestry_sum_numpy(parent, disp, bounds, root) -> np.ndarray:
     ends = np.cumsum(np.bincount(depth, minlength=1))
     pos = np.empty(disp.size)
     roots = order[: ends[0]]
-    pos[roots] = root[run[roots]] + disp[roots]
+    pos[roots] = root[run[roots] - 1 - parent[roots]] + disp[roots]
     for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()):
         rows = order[lo:hi]
         pos[rows] = pos[up[rows]] + disp[rows]
@@ -371,7 +441,7 @@ def _batch_simulate(
         raise ConfigError(f"particle cap {particle_cap} must be at least 1")
 
     rep = np.asarray(root_rep, dtype=np.int64)
-    arena = mode == "arena"
+    arena, snapshot = mode == "arena", mode == "snapshot"
     if arena and not np.array_equal(rep, np.arange(n_rep)):
         raise ValueError("an arena batch takes one root per replicate")
     b = _Batch(run_keys, np.zeros(n_rep, dtype=np.int64), cum[cum < 1.0])
@@ -380,13 +450,16 @@ def _batch_simulate(
     # has 1 + horizon / mean lifetime); a counts or snapshot wave writes its
     # children to a table made for them
     start = max(int(min(rep.size * (1.0 + horizon / law.mean()), _TREE_START_MAX)), rep.size)
-    t = _Table(start, _TREE) if arena else _Table(rep.size, _FRONT)
+    t = _Table(start, _TREE) if arena else _Table(rep.size, _TREE if snapshot else _FRONT)
     lo, hi = 0, rep.size
     t.col("rep", lo, hi)[...] = rep
     t.col("birth", lo, hi)[...] = root_birth
-    t.col("parent" if arena else "pos", lo, hi)[...] = -1 if arena else root_position
+    if arena or snapshot:  # a snapshot root's parent -1 - i names its position root_position[i]
+        t.col("parent", lo, hi)[...] = -1 if arena else -1 - np.arange(hi)
     alive_rep = [np.empty(0, np.int64)]
-    snap_birth, snap_pos = [np.empty(0)], [np.empty(0)]
+    # a snapshot batch records the rows that have children or are alive, and
+    # prunes the record to those with an alive or front row below them
+    rec, used = _Table(_RECORD_START, _RECORD) if snapshot else None, 0
 
     w = _Table(0, _SCRATCH)  # the wave's work rows, reused while they suffice
     wave = 0
@@ -410,15 +483,18 @@ def _batch_simulate(
             t = t.fit(hi + total, hi)
             _branch(t, lo, hi, w, t, hi)
             lo, hi = hi, hi + total
-        else:  # counts draws motion unread until the benchmark stops requiring it (ROADMAP item 3)
-            rep, birth, alive, pos = (t.col(k, lo, hi) for k in ("rep", "birth", "alive", "pos"))
+        else:
             n = hi - lo
-            pos += _displacement(model.motion, w.col("keys", 0, n), birth, w.col("death", 0, n), horizon)
-            if mode == "snapshot":
-                snap_birth.append(birth[alive])
-                snap_pos.append(pos[alive])
-            alive_rep.append(rep[alive])
-            out = _Table(total, _FRONT)
+            if snapshot:  # motion is drawn after the loop, for the pruned record only
+                if used + n > rec.size:  # full: prune, and grow unless a quarter of the record is then free
+                    used = _prune(rec, used, t.col("parent", lo, hi), horizon)
+                    rec = rec.fit(used + n + rec.size // 4, used)
+                used = _record(t, lo, hi, w, rec, used)
+            else:  # counts draws motion unread until the benchmark stops requiring it (ROADMAP item 8)
+                _displacement(model.motion, w.col("keys", 0, n), t.col("birth", lo, hi), w.col("death", 0, n),
+                              horizon)
+            alive_rep.append(t.col("rep", lo, hi)[t.col("alive", lo, hi)])
+            out = _Table(total, t.columns)
             _branch(t, lo, hi, w, out, 0)
             t, lo, hi = out, 0, total
         wave += 1
@@ -432,8 +508,14 @@ def _batch_simulate(
     counts_alive = np.bincount(np.concatenate(alive_rep), minlength=n_rep)
     if mode == "counts":
         return counts_alive
-    ages = horizon - np.concatenate(snap_birth)
-    return np.concatenate(alive_rep), ages, np.concatenate(snap_pos), counts_alive
+    # the record's alive rows are the waves' alive rows in wave order; their
+    # positions sum the displacements down the tree, bit for bit as a wave would
+    used = _prune(rec, used, np.empty(0, np.int64), horizon)
+    parent, keys, birth, death = (rec.col(k, 0, used) for k in _RECORD)
+    disp = _displacement(model.motion, keys, birth, death, horizon)
+    alive = np.flatnonzero(death > horizon)
+    positions = _ancestry_sum(parent, disp, np.array([0, used]), np.asarray(root_position, float))[alive]
+    return np.concatenate(alive_rep), horizon - birth[alive], positions, counts_alive
 
 
 def _single_root_arrays(n_rep: int, model: ValidatedModel):
@@ -656,8 +738,10 @@ def simulate_fields(
 
     Roots must be grouped by replicate in ascending order; a decreasing
     `root_rep` raises ConfigError.  Returns (rep, ages, positions, counts):
-    one row per particle alive at the horizon, plus the alive count per
-    replicate.
+    one row per particle alive at the horizon, in wave order, plus the alive
+    count per replicate.  Motion is drawn once, after the last wave, for the
+    alive rows and their ancestors only; a single-root replicate's ages and
+    positions are those of `run_once`'s snapshot for its key, byte for byte.
     """
     keys = np.asarray(run_keys, dtype=np.uint64)
     rep = np.asarray(root_rep, dtype=np.int64)

@@ -76,10 +76,16 @@ def _check_coefficients(lam: float, psi: float) -> None:
 
 
 def default_grid(lam: float, psi: float, T: float, nx: int = 1024, dt: float = 1e-3) -> GridSpec:
-    """Domain wide enough that the Gaussian tail at the boundary is ~1e-22."""
+    """Domain wide enough that the heat kernel's Gaussian tail at the boundary
+    is ~1e-22, and at least [-7, 7], beyond which the intensity's standard
+    normal leaves 2.6e-12 of its mass.  GridTooCoarse if one step's kernel is
+    narrower than the spacing, so the error comes before any solve."""
     _check_coefficients(lam, psi)
-    half = 10.0 * math.sqrt(max(lam * psi * T, 1e-12))
-    return GridSpec(-half, half, nx, dt, T)
+    half = max(10.0 * math.sqrt(lam * psi * T), 7.0)
+    grid = GridSpec(-half, half, nx, dt, T)
+    if lam * psi:
+        _kernel_std(lam * psi * dt, grid)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,15 @@ def semigroup_apply(g: np.ndarray, t: float, lam: float, psi: float, grid: GridS
         raise ValueError("t must be nonnegative")
     if t == 0 or lam * psi == 0:
         return g.copy()
-    std = math.sqrt(lam * psi * t)
+    return gaussian_filter1d(g, _kernel_std(lam * psi * t, grid) / grid.dx, mode="nearest", truncate=10.0)
+
+
+def _kernel_std(variance: float, grid: GridSpec) -> float:
+    """The heat kernel's std, or GridTooCoarse if it is below the spacing."""
+    std = math.sqrt(variance)
     if std < grid.dx:
-        raise GridTooCoarse(
-            f"kernel std {std:.3g} below grid spacing {grid.dx:.3g}; refine nx or increase t"
-        )
-    return gaussian_filter1d(g, std / grid.dx, mode="nearest", truncate=10.0)
+        raise GridTooCoarse(f"kernel std {std:.3g} below grid spacing {grid.dx:.3g}; refine nx or increase t")
+    return std
 
 
 def solve_u(

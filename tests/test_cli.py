@@ -186,6 +186,26 @@ def test_loglaplace_csv_default_slices_end_at_t(tmp_path):
     assert times[0] == 0.0 and times[-1] == 0.5
 
 
+def test_loglaplace_small_lambda_psi_t_grid_covers_the_intensity(tmp_path, capsys):
+    # at lambda*psi*t = 0.005 the grid still spans nu's N(0, 1); the value
+    # solved on [-8, 8] with nx = 8192 is 0.574173
+    summary = tmp_path / "s.json"
+    argv = ["loglaplace", "--f", "gauss", "--t", "0.5", "--lambda", "0.01", "--summary", str(summary)]
+    assert dispatch(argv + ["--nx", "8192"]) == 0
+    assert json.loads(summary.read_text())["functional"] == pytest.approx(0.574173, abs=1e-3)
+    capsys.readouterr()
+    # at the default nx one step's kernel is narrower than the spacing
+    assert dispatch(argv) == 2
+    assert "grid spacing" in capsys.readouterr().err
+
+
+def test_superprocess_grid_error_comes_before_the_fields(monkeypatch, capsys):
+    # at t = 3 the default grid's spacing exceeds one step's kernel
+    monkeypatch.setattr(cli, "laplace_mc", lambda *args: pytest.fail("fields were simulated"))
+    assert dispatch(["superprocess", "--n", "10", "--t", "3", "--seed", "1"]) == 2
+    assert "grid spacing" in capsys.readouterr().err
+
+
 def test_superprocess_row(tmp_path):
     out = tmp_path / "sp.jsonl"
     rc = dispatch(["superprocess", "--n", "20", "--t", "1.0", "--reps", "50",

@@ -225,6 +225,39 @@ def test_cap_counts_every_row_of_one_replicate(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("record_start", [1, 1 << 16])
+def test_simulate_fields_matches_run_once_snapshots(monkeypatch, kernel, record_start):
+    # snapshot mode draws motion for its pruned record, arena mode for its kept
+    # runs: a replicate's alive ages and positions agree byte for byte, whether
+    # the record starts at one row, and is pruned whenever it is full, or is
+    # pruned only at the end
+    if not kernel:
+        monkeypatch.setattr(_kernel, "LIB", None)
+    monkeypatch.setattr(engine, "_RECORD_START", record_start)
+    pruned, prune = [], engine._prune
+
+    def tracked_prune(rec, used, front, horizon):
+        kept = prune(rec, used, front, horizon)
+        pruned.append((used, kept, front.size))
+        return kept
+
+    monkeypatch.setattr(engine, "_prune", tracked_prune)
+    model = validate_model(ModelSpec(UniformLifetime(0.5, 2.0), OffspringLaw((0.25, 0.5, 0.25)), Brownian(0.5),
+                                     initial_age=1.0, initial_position=0.5))
+    t, reps, rng = 8.0, 60, stream(24)
+    keys = np.array([rng.child(r).key for r in range(reps)], dtype=np.uint64)
+    rep, ages, positions, counts = simulate_fields(model, t, keys, *engine._single_root_arrays(reps, model))
+    assert counts.sum() > 20
+    # a prune before the last wave dropped rows only if the record started small
+    assert any(kept < used and front for used, kept, front in pruned) == (record_start == 1)
+    for r in range(reps):
+        snap = run_once(model, t, rng.child(r)).snapshot
+        assert counts[r] == snap.n_alive
+        assert ages[rep == r].tobytes() == snap.ages.tobytes()
+        assert positions[rep == r].tobytes() == snap.positions.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [True, False])
 def test_unsorted_roots_rejected(monkeypatch, kernel):
     # unsorted roots once numbered differently on the kernel and numpy paths
     if not kernel:

@@ -212,34 +212,102 @@ def test_offspring_matches_numpy(rows, law, horizon, all_alive, strided, lo, ext
         assert a.tobytes() == b.tobytes()
 
 
-@given(GROUPS, st.data(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3), st.integers(0, 3))
+@given(GROUPS, st.data(), st.booleans(), st.booleans(), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
-def test_branch_matches_numpy(groups, data, arena, motion, in_place, lo, gap):
+def test_branch_matches_numpy(groups, data, arena, in_place, lo, gap):
     rep = _replicates(groups)
     n = rep.size
     kids = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 300]), min_size=n, max_size=n)),
                     dtype=np.int64)
-    bits = [np.array(data.draw(st.lists(U64, min_size=n, max_size=n)), dtype=np.uint64) for _ in range(2)]
-    death, pos_end = (b.view(np.float64) for b in bits)  # the kernel copies any bits
+    death = np.array(data.draw(st.lists(U64, min_size=n, max_size=n)), dtype=np.uint64).view(np.float64)
     local = np.arange(n, dtype=np.int64) * 7 + 3
-    columns = {"rep": engine._I8, "birth": engine._F8, "lifetime": engine._F8, "alive": engine._B1}
-    columns.update({"parent": engine._I8} if arena else {}, **({"pos": engine._F8} if motion else {}))
+    columns = engine._TREE if arena else engine._FRONT
     total = int(kids.sum())
-    t = _table(lo + n + gap + total, columns, lo, rep=rep, **({"pos": pos_end} if motion else {}))
+    t = _table(lo + n + gap + total, columns, lo, rep=rep)
     # children go after the wave in its own table (arena) or to a table of their own
     out, at = (t, lo + n + gap) if in_place else (_table(gap + total, columns), gap)
     w = _table(n, engine._SCRATCH, kids=kids, death=death, local=local)
     w_before = _bytes(w)
     engine._branch(t, lo, lo + n, w, out, at)
-    want = engine._branch_numpy(kids, rep, death, pos_end if motion else None, local if arena else None)
-    assert (want[2] is None) == (not motion) and (want[3] is None) == (not arena)
-    for name, v in zip(("rep", "birth", "pos", "parent"), want):
+    want = engine._branch_numpy(kids, rep, death, local if arena else None)
+    assert (want[2] is None) == (not arena)
+    for name, v in zip(("rep", "birth", "parent"), want):
         if v is not None:
             assert out.col(name, at, at + total).tobytes() == v.tobytes()
     assert _bytes(w) == w_before
     assert t.col("rep", lo, lo + n).tobytes() == rep.tobytes()
-    if motion:
-        assert t.col("pos", lo, lo + n).tobytes() == pos_end.tobytes()
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 2, 300]), st.booleans(), st.integers(-5, 40), U64,
+                          st.floats(), st.floats()), min_size=1, max_size=40),
+       st.integers(0, 50), st.integers(0, 3), st.integers(0, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_record_matches_numpy(rows, used, lo, extra, strided):
+    kids, alive, parent, keys, birth, death = (np.array(c, dtype) for c, dtype in
+                                               zip(zip(*rows), (np.int64, bool, np.int64, np.uint64, float, float)))
+    kids[alive] = 0  # an alive row has no children
+    if strided:
+        kids, alive, parent, keys, birth, death = (np.repeat(a, 2)[::2]
+                                                   for a in (kids, alive, parent, keys, birth, death))
+    n = kids.size
+    t = _table(lo + n, engine._TREE, lo, alive=alive, parent=parent, birth=birth)
+    w = _table(n + extra, engine._SCRATCH, kids=kids, keys=keys, death=death)
+    rec = _table(used + n + extra, engine._RECORD)
+    t_before, w_before, rec_before = _bytes(t), _bytes(w), _bytes(rec)
+    got = engine._record(t, lo, lo + n, w, rec, used)
+    local, *want = engine._record_numpy(kids, alive, parent, keys, birth, death, used)
+    assert type(got) is int and got == used + want[0].size
+    assert w.col("local", 0, n).tobytes() == local.tobytes()
+    for name, v in zip(engine._RECORD, want):
+        assert rec.col(name, used, got).tobytes() == v.tobytes()
+    # nothing else is written: the table, the rest of the work rows, the record around the new rows
+    assert _bytes(t) == t_before
+    w_before["local"] = local.tobytes() + w_before["local"][8 * n:]
+    assert _bytes(w) == w_before
+    for name in engine._RECORD:
+        assert rec.col(name, 0, used).tobytes() == rec_before[name][: 8 * used]
+        assert rec.col(name, got).tobytes() == rec_before[name][8 * got:]
+    # exactly the rows with children or alive are appended, in row order
+    kept = np.flatnonzero((kids > 0) | alive)
+    assert np.array_equal(local[kept], used + np.arange(kept.size)) and np.all(np.delete(local, kept) == -1)
+
+
+def _tree(data, size, roots):
+    """The parents of a record of `size` rows, parents before children: a
+    root names one of `roots` root positions i as -1 - i."""
+    return np.array([data.draw(st.integers(-roots, j - 1)) for j in range(size)], dtype=np.int64)
+
+
+@given(st.integers(0, 40), st.integers(1, 4), st.data(), st.floats(0.0, 4.0), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_prune_matches_numpy_and_brute_force(size, roots, data, horizon, strided):
+    parent = _tree(data, size, roots)
+    death = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size)))
+    birth, key = death - 1.0, np.arange(size, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    front = np.array(data.draw(st.lists(st.integers(-roots, size - 1), max_size=8)), dtype=np.int64)
+    cols = [parent, key, birth, death]
+    if strided:
+        cols = [np.repeat(a, 2)[::2] for a in cols]
+    rec = _table(size + 3, engine._RECORD, **dict(zip(engine._RECORD, cols)))
+    got_front = front.copy()
+    kept = engine._prune(rec, size, got_front, horizon)
+    *want, want_front = engine._prune_numpy(*cols, horizon, front)
+    assert type(kept) is int and kept == want[0].size
+    for name, v in zip(engine._RECORD, want):
+        assert rec.col(name, 0, kept).tobytes() == v.tobytes()
+    assert got_front.tobytes() == want_front.tobytes()
+    # brute force: a row is kept iff it is alive or it or a row below it is a front row's parent or
+    # an alive row's ancestor; the kept rows keep their order, roots and (remapped) parents
+    below = {j: {j} for j in range(size)}
+    for j in reversed(range(size)):
+        if parent[j] >= 0:
+            below[parent[j]] |= below[j]
+    needed = set(front[front >= 0].tolist()) | set(np.flatnonzero(death > horizon).tolist())
+    rows = [j for j in range(size) if below[j] & needed]
+    assert np.array_equal(want[1], key[rows]) and np.array_equal(want[3], death[rows])
+    old = {j: i for i, j in enumerate(rows)}
+    assert want[0].tolist() == [p if p < 0 else old[p] for p in parent[rows].tolist()]
+    assert want_front.tolist() == [p if p < 0 else old[p] for p in front.tolist()]
 
 
 AGED = validate_model(ModelSpec(UniformLifetime(0.5, 2.0), OffspringLaw((0.25, 0.5, 0.25)), Brownian(0.5),
@@ -356,14 +424,36 @@ def test_ancestry_sum_matches_numpy(sizes, data, strided):
         inputs = [np.repeat(a, 2)[::2] for a in inputs]
     before = [a.copy() for a in inputs]
     got = engine._ancestry_sum(*inputs)
-    want = engine._ancestry_sum_numpy(*inputs)
+    with np.errstate(over="ignore"):  # huge inputs overflow to +-inf, as in the kernel
+        want = engine._ancestry_sum_numpy(*inputs)
+        # a row's position is its parent's (or its run's root) plus its displacement
+        run = np.repeat(np.arange(len(sizes)), sizes)
+        start = np.where(parent < 0, root[run], got[np.maximum(bounds[run] + parent, 0)])
+        assert np.array_equal(got, start + disp)
     assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
     for a, b in zip(inputs, before):
         assert a.tobytes() == b.tobytes()
-    # a row's position is its parent's (or its run's root) plus its displacement
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    start = np.where(parent < 0, root[run], got[np.maximum(bounds[run] + parent, 0)])
-    assert np.array_equal(got, start + disp)
+
+
+@given(st.integers(0, 30), st.integers(1, 5), st.data(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_ancestry_sum_of_a_record_matches_numpy(size, roots, data, strided):
+    # a snapshot batch's record is one run whose roots name their root position
+    parent = _tree(data, size, roots)
+    disp = np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
+    root = np.array(data.draw(st.lists(FINITE, min_size=roots, max_size=roots)))
+    inputs = [parent, disp, np.array([0, size]), root]
+    if strided:
+        inputs = [np.repeat(a, 2)[::2] for a in inputs]
+    before = [a.copy() for a in inputs]
+    got = engine._ancestry_sum(*inputs)
+    with np.errstate(over="ignore"):  # huge inputs overflow to +-inf, as in the kernel
+        want = engine._ancestry_sum_numpy(*inputs)
+        start = np.where(parent < 0, root[np.maximum(-1 - parent, 0)], got[np.maximum(parent, 0)])
+        assert np.array_equal(got, start + disp)
+    assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
 
 
 @given(st.lists(st.integers(0, 7), max_size=60), st.integers(0, 3), st.data(), st.booleans())

@@ -93,6 +93,16 @@ def test_grid_too_coarse():
         semigroup_apply(np.zeros(32), 1e-4, 1.0, 1.0, grid)
 
 
+def test_default_grid_spans_the_intensity_and_checks_its_step():
+    # the half-width is 10 sqrt(lam psi T), but never below nu's [-7, 7]
+    assert default_grid(1.0, 1.0, 1.0).x_hi == 10.0
+    grid = default_grid(0.01, 1.0, 0.5, nx=8192)
+    assert (grid.x_lo, grid.x_hi) == (-7.0, 7.0)
+    assert default_grid(1.0, 0.0, 1.0).x_hi == 7.0  # no motion, no kernel to resolve
+    with pytest.raises(GridTooCoarse):  # one step's kernel is narrower than the spacing
+        default_grid(0.01, 1.0, 0.5)
+
+
 def test_step_too_large():
     grid = GridSpec(-5.0, 5.0, 256, 0.5, 1.0)
     with pytest.raises(StepTooLarge):
